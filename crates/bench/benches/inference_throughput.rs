@@ -21,13 +21,25 @@
 //! stay bit-identical to `frozen_serial`; reduced-precision rows are
 //! rank-faithful (Kendall tau >= 0.99, asserted in `hwpr-core` tests).
 //!
+//! The `encode_cold/{nb201,fbnet}` rows time what a never-seen
+//! architecture costs before any forward pass: one `encodings_into` of
+//! [`COLD_SWEEP`] architectures through a fresh [`EncodingCache`]
+//! (interned adjacency, AF table lookups, one-hot features, tokens and
+//! the first-layer aggregation). NB201 sweeps the whole space, FBNet as
+//! many seeded architectures; divide a row by [`COLD_SWEEP`] for the
+//! per-architecture cost.
+//!
 //! [`freeze_with`]: hwpr_core::HwPrNas::freeze_with
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hwpr_bench::{fixture_archs, fixture_model};
+use hwpr_core::EncodingCache;
 use hwpr_hwmodel::Platform;
-use hwpr_nasbench::SearchSpaceId;
+use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_tensor::Precision;
+
+/// Architectures per `encode_cold` iteration: all of NAS-Bench-201.
+const COLD_SWEEP: usize = 15_625;
 
 fn bench_inference_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_throughput");
@@ -62,6 +74,22 @@ fn bench_inference_throughput(c: &mut Criterion) {
                 b.iter(|| model.predict_full(&archs, Platform::EdgeGpu).unwrap())
             });
         }
+    }
+    let nb201: Vec<Architecture> = (0..COLD_SWEEP as u64)
+        .map(|i| Architecture::nb201_from_index(i).expect("in range"))
+        .collect();
+    let fbnet = fixture_archs(SearchSpaceId::FBNet, COLD_SWEEP);
+    for (name, archs) in [("nb201", nb201), ("fbnet", fbnet)] {
+        let space = archs[0].space();
+        let mut out = Vec::with_capacity(archs.len());
+        group.bench_function(format!("encode_cold/{name}"), |b| {
+            b.iter(|| {
+                let cache = EncodingCache::for_space(space, Dataset::Cifar10);
+                cache.encodings_into(&archs, &mut out);
+                out.clear();
+                cache.len()
+            })
+        });
     }
     group.finish();
 }

@@ -473,18 +473,23 @@ pub mod train_step {
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::cell::Cell;
 
-    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        // const-initialised and drop-free, so touching it from inside the
+        // allocator never allocates itself
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
 
-    /// Counts every `alloc`/`realloc` before delegating to [`System`].
+    /// Counts every `alloc`/`realloc` of the calling thread before
+    /// delegating to [`System`].
     pub struct CountingAllocator;
 
     // SAFETY: delegates verbatim to the system allocator; the counter is
-    // a relaxed atomic with no other side effects.
+    // a thread-local cell with no other side effects.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.alloc(layout)
         }
 
@@ -493,14 +498,20 @@ pub mod alloc_count {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            count();
             System.realloc(ptr, layout, new_size)
         }
     }
 
-    /// Number of heap allocations since process start.
-    pub fn allocations() -> u64 {
-        ALLOCATIONS.load(Ordering::Relaxed)
+    fn count() {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    /// Number of heap allocations the calling thread has made. Counted
+    /// per thread because the tests of one binary run concurrently: a
+    /// process-wide count would include the other tests' allocations.
+    pub fn thread_allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
     }
 }
 

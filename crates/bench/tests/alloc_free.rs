@@ -1,20 +1,25 @@
 //! Proves the zero-allocation properties of the hot paths: once its
 //! arenas, buffer pools and caches are warm, (a) a training step,
 //! (b) a frozen-engine inference pass and (c) the workspace-backed MOO
-//! kernels each perform zero heap allocations.
+//! kernels each perform zero heap allocations; and (d) a never-seen
+//! architecture's encoding costs a fixed, small number of allocations.
 //!
 //! Gated behind the `alloc-count` feature because it installs a global
 //! allocator; run with `cargo test -p hwpr-bench --features alloc-count`.
+//! Every measured path runs on the test's own thread, and counts are read
+//! per thread: the tests of this binary run concurrently, and a
+//! process-wide count would include their allocations too.
 
 #![cfg(feature = "alloc-count")]
 
-use hwpr_bench::alloc_count::{allocations, CountingAllocator};
+use hwpr_bench::alloc_count::{thread_allocations, CountingAllocator};
 use hwpr_bench::train_step::{step_data, FusedTrainer, StepConfig};
 use hwpr_bench::{fixture_archs, fixture_model, fixture_objectives};
-use hwpr_core::Precision;
+use hwpr_core::{EncodingCache, Precision};
 use hwpr_hwmodel::Platform;
 use hwpr_moo::{Fronts, IncrementalHv2, MooWorkspace};
-use hwpr_nasbench::SearchSpaceId;
+use hwpr_nasbench::{Dataset, SearchSpaceId};
+use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -29,12 +34,12 @@ fn steady_state_train_step_is_allocation_free() {
     for _ in 0..5 {
         trainer.step(&data);
     }
-    let before = allocations();
+    let before = thread_allocations();
     let mut loss = 0.0;
     for _ in 0..3 {
         loss += trainer.step(&data);
     }
-    let after = allocations();
+    let after = thread_allocations();
     assert!(loss.is_finite());
     assert_eq!(
         after - before,
@@ -67,7 +72,7 @@ fn warm_moo_workspace_calls_are_allocation_free() {
         checksum += ws.hypervolume(&points2, &reference2).unwrap();
         checksum += ws.hypervolume(&points3, &reference3).unwrap();
     }
-    let before = allocations();
+    let before = thread_allocations();
     for _ in 0..3 {
         ws.fast_non_dominated_sort_into(&points2, &mut fronts)
             .unwrap();
@@ -80,7 +85,7 @@ fn warm_moo_workspace_calls_are_allocation_free() {
         checksum += ws.hypervolume(&points2, &reference2).unwrap();
         checksum += ws.hypervolume(&points3, &reference3).unwrap();
     }
-    let after = allocations();
+    let after = thread_allocations();
     assert!(checksum.is_finite());
     assert_eq!(
         after - before,
@@ -97,7 +102,7 @@ fn warm_incremental_hv2_is_allocation_free() {
     // warm-up: the staircase grows to its steady-state capacity, which
     // `clear` retains
     archive.reset_from(&points).unwrap();
-    let before = allocations();
+    let before = thread_allocations();
     archive.clear();
     let mut accepted = 0u64;
     for p in &points {
@@ -106,7 +111,7 @@ fn warm_incremental_hv2_is_allocation_free() {
         }
     }
     let hv = archive.recompute();
-    let after = allocations();
+    let after = thread_allocations();
     assert!(hv.is_finite() && accepted > 0);
     assert_eq!(
         after - before,
@@ -176,11 +181,11 @@ fn warm_island_generation_loop_is_allocation_free() {
     for _ in 0..5 {
         harness.step().expect("warm-up step");
     }
-    let before = allocations();
+    let before = thread_allocations();
     for _ in 0..3 {
         harness.step().expect("measured step");
     }
-    let after = allocations();
+    let after = thread_allocations();
     assert!(harness.evaluations() > 0);
     assert_eq!(
         after - before,
@@ -261,11 +266,11 @@ fn warm_serving_loop_is_allocation_free() {
     for r in 0..5 {
         round(r * 10);
     }
-    let before = allocations();
+    let before = thread_allocations();
     for r in 5..8 {
         round(r * 10);
     }
-    let after = allocations();
+    let after = thread_allocations();
     assert_eq!(
         sink.frames.load(std::sync::atomic::Ordering::Relaxed),
         8 * windows.len() as u64,
@@ -299,7 +304,7 @@ fn steady_state_frozen_inference_is_allocation_free() {
                 .predict_scores_into(&archs, Platform::EdgeGpu, &mut scores)
                 .unwrap();
         }
-        let before = allocations();
+        let before = thread_allocations();
         let mut sum = 0.0;
         for _ in 0..3 {
             scores.clear();
@@ -308,7 +313,7 @@ fn steady_state_frozen_inference_is_allocation_free() {
                 .unwrap();
             sum += scores.iter().sum::<f64>();
         }
-        let after = allocations();
+        let after = thread_allocations();
         assert!(sum.is_finite());
         assert_eq!(scores.len(), archs.len());
         assert_eq!(
@@ -318,5 +323,59 @@ fn steady_state_frozen_inference_is_allocation_free() {
             precision.label(),
             after - before
         );
+    }
+}
+
+#[test]
+fn cold_encoding_costs_a_fixed_number_of_allocations() {
+    // a never-seen architecture allocates its one-hot features, its
+    // first-layer aggregation, its token ids and the `Arc` around them;
+    // the adjacency is interned and the AF are table lookups
+    const PER_ARCH: u64 = 4;
+    // a batch with misses also allocates its miss list and build list
+    const PER_COLD_BATCH: u64 = 2;
+    // NB201 padded into the mixed layout, and FBNet at its natural size;
+    // 1200 distinct architectures each
+    let nb201 = (0..1_200)
+        .map(|i| hwpr_nasbench::Architecture::nb201_from_index(i).expect("in range"))
+        .collect();
+    for (cache, archs) in [
+        (EncodingCache::for_mixed(Dataset::Cifar10), nb201),
+        (
+            EncodingCache::for_space(SearchSpaceId::FBNet, Dataset::Cifar100),
+            fixture_archs(SearchSpaceId::FBNet, 1_200),
+        ),
+    ] {
+        let mut out = Vec::with_capacity(archs.len());
+        // warm-up: builds the AF table and interned adjacencies, and grows
+        // the entries map past 1000 so the measured inserts below fit its
+        // table without a resize
+        cache.encodings_into(&archs[..1_000], &mut out);
+        for pair in archs[1_000..].chunks(2) {
+            let before = thread_allocations();
+            cache.encodings_into(&pair[..1], &mut out);
+            assert_eq!(
+                thread_allocations() - before,
+                PER_ARCH + PER_COLD_BATCH,
+                "cold batch of one"
+            );
+            let before = thread_allocations();
+            let single = cache.encoding(&pair[1]);
+            assert_eq!(thread_allocations() - before, PER_ARCH, "cold single");
+            drop(single);
+        }
+        assert_eq!(cache.len(), archs.len());
+        // hits only: the warm batch path stays allocation-free
+        let before = thread_allocations();
+        cache.encodings_into(&archs, &mut out);
+        assert_eq!(thread_allocations() - before, 0, "warm batch");
+    }
+    // any two FBNet encodings share one adjacency allocation
+    let cache = EncodingCache::for_space(SearchSpaceId::FBNet, Dataset::Cifar10);
+    let archs = fixture_archs(SearchSpaceId::FBNet, 64);
+    let first = cache.encoding(&archs[0]);
+    for arch in &archs[1..] {
+        let enc = cache.encoding(arch);
+        assert!(Arc::ptr_eq(&enc.graph.adjacency, &first.graph.adjacency));
     }
 }

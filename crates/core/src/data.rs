@@ -2,8 +2,8 @@
 
 use crate::{CoreError, Result};
 use hwpr_hwmodel::{BenchEntry, Platform, SimBench};
-use hwpr_nasbench::features::ArchFeatures;
-use hwpr_nasbench::graph::{self, ArchGraph};
+use hwpr_nasbench::features::{ArchFeatures, ARCH_FEATURE_DIM};
+use hwpr_nasbench::graph::{self, AdjacencyTable, ArchGraph};
 use hwpr_nasbench::{tokens, Architecture, Dataset, SearchSpaceId};
 use hwpr_tensor::Matrix;
 use parking_lot::Mutex;
@@ -160,16 +160,19 @@ impl SurrogateDataset {
 /// All three encodings of one architecture, computed once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedEncoding {
-    /// Graph encoding (padded to the cache's node count).
+    /// Graph encoding (padded to the cache's node count). Its adjacency
+    /// is the cache's interned matrix for the architecture's wiring,
+    /// shared with every entry wired the same way.
     pub graph: ArchGraph,
     /// Token sequence (padded to the cache's sequence length).
     pub tokens: Vec<usize>,
     /// Raw (unnormalised) architecture features.
-    pub af: Vec<f32>,
+    pub af: [f32; ARCH_FEATURE_DIM],
     /// First-layer GCN aggregation `A @ X` (`nodes x NODE_FEATURE_DIM`):
     /// weight-independent, so it is computed once per architecture here
-    /// instead of once per chunk in the inference hot loop. Produced by
-    /// the same accumulation kernel the live path runs
+    /// instead of once per chunk in the inference hot loop. Built by
+    /// [`ArchGraph::aggregate`], which is bit-identical to the
+    /// accumulation kernel the live path runs
     /// ([`Matrix::block_left_matmul_each_into`] on a single block), so
     /// consuming it is bit-identical to aggregating in place.
     pub agg: Matrix,
@@ -237,14 +240,17 @@ type ArchKeyMap = HashMap<
 
 /// Thread-safe memoisation of architecture encodings.
 ///
-/// Encoding an architecture (profiling + graph building) costs far more
-/// than a surrogate forward pass, and the MOEA re-scores populations every
-/// generation; the cache makes repeat scoring cheap.
+/// A cold encoding is a few table lookups — the interned adjacency of the
+/// architecture's structure, per-position AF contributions, one-hot
+/// features and tokens — plus the first-layer aggregation `A @ X`; on a
+/// cache-bound search the memo turns even that into one hash probe. Misses
+/// are built outside the lock and inserted first-writer-wins, so callers
+/// racing on the same architecture all get the one stored [`Arc`].
 #[derive(Debug)]
 pub struct EncodingCache {
     dataset: Dataset,
-    nodes: usize,
     seq_len: usize,
+    adjacency: AdjacencyTable,
     entries: Mutex<ArchKeyMap>,
 }
 
@@ -254,8 +260,8 @@ impl EncodingCache {
     pub fn new(dataset: Dataset, nodes: usize, seq_len: usize) -> Self {
         Self {
             dataset,
-            nodes,
             seq_len,
+            adjacency: AdjacencyTable::new(nodes),
             entries: Mutex::new(ArchKeyMap::default()),
         }
     }
@@ -276,7 +282,7 @@ impl EncodingCache {
 
     /// Graph node count used by this cache.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.adjacency.nodes()
     }
 
     /// Token sequence length used by this cache.
@@ -299,24 +305,24 @@ impl EncodingCache {
         if let Some(hit) = self.entries.lock().get(&key) {
             return Arc::clone(hit);
         }
-        let enc = self.build(arch);
-        self.entries.lock().insert(key, Arc::clone(&enc));
-        enc
+        let built = self.build(arch);
+        Arc::clone(self.entries.lock().entry(key).or_insert(built))
     }
 
-    /// The encodings of a whole batch under **one** cache lock.
+    /// The encodings of a whole batch, taking the entries lock at most
+    /// twice.
     ///
-    /// The inference hot loop looks up every architecture of every chunk;
-    /// taking the entries lock (and paying its fence) per architecture
-    /// showed up as a top-three cost in the frozen sweep profile. The
-    /// batch form locks once for the warm all-hits case (allocation-free
-    /// when `out` keeps its capacity); any miss falls back to the
-    /// per-architecture path, which happens at most once per architecture
-    /// ever.
+    /// The inference hot loop looks up every architecture of every chunk,
+    /// so the warm all-hits case is one lock and one probe per
+    /// architecture (allocation-free when `out` keeps its capacity). A
+    /// batch with misses notes them under that same lock, builds them with
+    /// the lock released, and stores them under one more lock: the first
+    /// writer of an architecture wins, and every caller gets the stored
+    /// [`Arc`].
     pub fn encodings_into(&self, archs: &[Architecture], out: &mut Vec<Arc<CachedEncoding>>) {
         out.clear();
         out.reserve(archs.len());
-        {
+        let misses: Vec<usize> = {
             let entries = self.entries.lock();
             for arch in archs {
                 match entries.get(&(arch.space(), arch.index())) {
@@ -324,27 +330,37 @@ impl EncodingCache {
                     None => break,
                 }
             }
+            if out.len() == archs.len() {
+                return;
+            }
+            (out.len()..archs.len())
+                .filter(|&i| !entries.contains_key(&(archs[i].space(), archs[i].index())))
+                .collect()
+        };
+        let built: Vec<(usize, Arc<CachedEncoding>)> = misses
+            .into_iter()
+            .map(|i| (i, self.build(&archs[i])))
+            .collect();
+        let mut built = built.into_iter().peekable();
+        let first_miss = out.len();
+        let mut entries = self.entries.lock();
+        for (i, arch) in archs.iter().enumerate().skip(first_miss) {
+            let key = (arch.space(), arch.index());
+            let enc = match built.next_if(|&(miss, _)| miss == i) {
+                Some((_, enc)) => entries.entry(key).or_insert(enc),
+                None => entries.get(&key).expect("cache entries are never removed"),
+            };
+            out.push(Arc::clone(enc));
         }
-        if out.len() == archs.len() {
-            return;
-        }
-        // cold path: at least one architecture has never been encoded
-        out.clear();
-        out.extend(archs.iter().map(|a| self.encoding(a)));
     }
 
     fn build(&self, arch: &Architecture) -> Arc<CachedEncoding> {
-        let graph = graph::encode_padded(arch, self.nodes);
-        let mut agg = Matrix::zeros(self.nodes, graph.features.cols());
-        graph
-            .features
-            .block_left_matmul_each_into(1, self.nodes, |_| &graph.adjacency, &mut agg)
-            .expect("encoding shapes are cache-consistent");
+        let graph = self.adjacency.encode(arch);
         Arc::new(CachedEncoding {
+            agg: graph.aggregate(),
             graph,
             tokens: tokens::padded_tokens(arch, self.seq_len),
-            af: ArchFeatures::extract(arch, self.dataset).to_vec(),
-            agg,
+            af: ArchFeatures::extract(arch, self.dataset).to_array(),
         })
     }
 
@@ -415,7 +431,59 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(a.tokens.len(), 6);
         assert_eq!(a.graph.node_count(), graph::NB201_NODES);
-        assert_eq!(a.af.len(), hwpr_nasbench::features::ARCH_FEATURE_DIM);
+        assert_eq!(a.af.len(), ARCH_FEATURE_DIM);
+    }
+
+    #[test]
+    fn concurrent_misses_share_the_first_writer() {
+        use rand_chacha::rand_core::SeedableRng;
+        let cache = EncodingCache::for_space(SearchSpaceId::FBNet, Dataset::Cifar10);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let archs: Vec<Architecture> = (0..400)
+            .map(|_| Architecture::random(SearchSpaceId::FBNet, &mut rng))
+            .collect();
+        let barrier = std::sync::Barrier::new(2);
+        // both threads miss on every architecture at once: each builds its
+        // own encoding, but only the first insert may be handed out
+        let run = |single: bool| -> Vec<Arc<CachedEncoding>> {
+            barrier.wait();
+            if single {
+                archs.iter().map(|a| cache.encoding(a)).collect()
+            } else {
+                let mut out = Vec::new();
+                cache.encodings_into(&archs, &mut out);
+                out
+            }
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| run(false));
+            let b = s.spawn(|| run(true));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert!(Arc::ptr_eq(x, y), "architecture {i} got two encodings");
+            assert!(Arc::ptr_eq(x, &cache.encoding(&archs[i])));
+        }
+        assert_eq!(cache.len(), archs.len());
+    }
+
+    #[test]
+    fn batch_with_repeats_and_hits_keeps_order() {
+        let cache = EncodingCache::for_space(SearchSpaceId::NasBench201, Dataset::Cifar10);
+        let archs: Vec<Architecture> = [5, 9, 5, 700, 9, 12]
+            .iter()
+            .map(|&i| Architecture::nb201_from_index(i).unwrap())
+            .collect();
+        let warm = cache.encoding(&archs[1]);
+        let mut out = Vec::new();
+        cache.encodings_into(&archs, &mut out);
+        assert_eq!(out.len(), archs.len());
+        assert!(Arc::ptr_eq(&out[1], &warm) && Arc::ptr_eq(&out[4], &warm));
+        assert!(Arc::ptr_eq(&out[0], &out[2]));
+        for (arch, enc) in archs.iter().zip(&out) {
+            assert_eq!(enc.tokens, tokens::padded_tokens(arch, 6));
+        }
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]

@@ -162,7 +162,7 @@ impl EncoderSet {
             }
             let rows: Vec<Vec<f32>> = train_archs
                 .iter()
-                .map(|a| cache.encoding(a).af.clone())
+                .map(|a| cache.encoding(a).af.to_vec())
                 .collect();
             output_dim += ARCH_FEATURE_DIM;
             Some(FeatureNormalizer::fit(&rows))
@@ -241,7 +241,7 @@ impl EncoderSet {
                 .map_err(hwpr_nn::NnError::from)?;
             // shared references into the cache: the layer copies them into
             // pooled tape storage itself, so no deep clones here
-            let adjacency: Vec<&Matrix> = encodings.iter().map(|e| &e.graph.adjacency).collect();
+            let adjacency: Vec<&Matrix> = encodings.iter().map(|e| &*e.graph.adjacency).collect();
             let mut h = binder.input(stacked);
             for layer in &self.gcn {
                 h = layer.forward(binder, h, &adjacency, nodes)?;

@@ -28,8 +28,8 @@
 //! # Arena memory model
 //!
 //! All activations come from a per-arena [`BufferPool`]; scratch vectors
-//! (adjacency copies, LSTM steps and states, token-id staging) live in the
-//! arena and keep their capacity across calls, so a warmed
+//! (staged graph aggregation, LSTM steps and states, token-id staging)
+//! live in the arena and keep their capacity across calls, so a warmed
 //! [`FrozenModel::predict_scores_into`] loop performs **zero heap
 //! allocations** (asserted by the `alloc-count` harness in `hwpr-bench`).
 //! Arenas are checked out of a shared pool per call, so concurrent workers
@@ -240,7 +240,7 @@ impl FrozenEncoderSet {
                         pool,
                         h,
                         batch,
-                        |b| &encodings[b].graph.adjacency,
+                        |b| &*encodings[b].graph.adjacency,
                         nodes,
                     )?;
                 }

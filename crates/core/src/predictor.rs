@@ -376,7 +376,7 @@ impl Predictor {
 /// equivalent raw form).
 fn tree_features(cache: &EncodingCache, arch: &Architecture) -> Vec<f32> {
     let enc = cache.encoding(arch);
-    let mut row = enc.af.clone();
+    let mut row = enc.af.to_vec();
     for &token in &enc.tokens {
         let mut onehot = [0.0f32; tokens::VOCAB_SIZE];
         onehot[token] = 1.0;

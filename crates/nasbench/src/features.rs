@@ -1,9 +1,18 @@
 //! Manual Architecture Features (AF) — §III-C(1) of the paper.
+//!
+//! Every feature is a sum of per-operation quantities, and each searchable
+//! position's operations see the same input shape whatever the other
+//! positions hold. So the features of any architecture are a baseline
+//! plus one contribution per position, which [`FeatureTable`] reads from
+//! a table built once per (space, dataset) from [`profile`]. The
+//! profiler-driven [`ArchFeatures::from_profile`] stays the reference.
 
-use crate::arch::Architecture;
+use crate::arch::{Architecture, FBNET_LAYERS, NB201_EDGES};
+use crate::op::{FbnetOp, Nb201Op};
 use crate::profile::profile;
-use crate::Dataset;
+use crate::{Dataset, SearchSpaceId};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The eight manual features the paper extracts: FLOPs, parameters,
 /// number of convolutions, input size, depth, first/last channel sizes
@@ -32,8 +41,17 @@ pub struct ArchFeatures {
 pub const ARCH_FEATURE_DIM: usize = 8;
 
 impl ArchFeatures {
-    /// Extracts the features of `arch` on `dataset` via the profiler.
+    /// The features of `arch` on `dataset`, read from the process-wide
+    /// [`FeatureTable`] of its space (bit-identical to
+    /// [`ArchFeatures::from_profile`]).
     pub fn extract(arch: &Architecture, dataset: Dataset) -> Self {
+        FeatureTable::get(arch.space(), dataset).features(arch)
+    }
+
+    /// Derives the features of `arch` on `dataset` from a full
+    /// [`profile`] walk: the reference the table is built from and
+    /// tested against.
+    pub fn from_profile(arch: &Architecture, dataset: Dataset) -> Self {
         let p = profile(arch, dataset);
         let first_channels = p
             .ops
@@ -60,16 +78,176 @@ impl ArchFeatures {
     /// The features as a raw vector (fixed order, length
     /// [`ARCH_FEATURE_DIM`]).
     pub fn to_vec(self) -> Vec<f32> {
-        vec![
-            self.flops as f32,
-            self.params as f32,
-            self.conv_count as f32,
-            self.input_size as f32,
-            self.depth as f32,
-            self.first_channels as f32,
-            self.last_channels as f32,
-            self.downsample_count as f32,
+        self.to_array().to_vec()
+    }
+
+    /// The features as a fixed-size array, in [`ArchFeatures::to_vec`]
+    /// order.
+    pub fn to_array(self) -> [f32; ARCH_FEATURE_DIM] {
+        self.fields().map(|v| v as f32)
+    }
+
+    fn fields(self) -> [f64; ARCH_FEATURE_DIM] {
+        [
+            self.flops,
+            self.params,
+            self.conv_count,
+            self.input_size,
+            self.depth,
+            self.first_channels,
+            self.last_channels,
+            self.downsample_count,
         ]
+    }
+
+    fn from_fields(f: [f64; ARCH_FEATURE_DIM]) -> Self {
+        Self {
+            flops: f[0],
+            params: f[1],
+            conv_count: f[2],
+            input_size: f[3],
+            depth: f[4],
+            first_channels: f[5],
+            last_channels: f[6],
+            downsample_count: f[7],
+        }
+    }
+}
+
+/// Every integer of smaller magnitude is exactly representable as an f64.
+const EXACT_INTEGER_LIMIT: f64 = (1u64 << 53) as f64;
+
+/// Per-position AF contributions for one (space, dataset): the features
+/// of the all-op-0 baseline architecture, plus for every (position, op)
+/// the change from putting `op` at that position.
+///
+/// Every per-op FLOP and parameter count the profiler emits is an integer
+/// (products and sums of small integers), as are the counts, and the
+/// build checks that the baseline plus the largest contribution of every
+/// position stays below 2^53. So every partial sum of a lookup is an
+/// exactly representable integer and the result does not depend on
+/// summation order: it equals [`ArchFeatures::from_profile`] bit for bit.
+#[derive(Debug)]
+pub struct FeatureTable {
+    space: SearchSpaceId,
+    baseline: [f64; ARCH_FEATURE_DIM],
+    /// `positions * ops` rows, position-major.
+    deltas: Vec<[f64; ARCH_FEATURE_DIM]>,
+}
+
+impl FeatureTable {
+    /// Builds the table for `space` on `dataset` by profiling the
+    /// baseline and every single-position variant of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a contribution is not an integer, or if the sums could
+    /// leave the exactly representable range — the table would then not
+    /// reproduce the profiler bit for bit.
+    fn build(space: SearchSpaceId, dataset: Dataset) -> Self {
+        let positions = space.positions();
+        let ops = space.ops_per_position();
+        // the all-op-0 baseline with `op` at `position` (op 0 anywhere is
+        // the baseline itself)
+        let variant = |position: usize, op: usize| {
+            let arch = match space {
+                SearchSpaceId::NasBench201 => {
+                    let mut a = [Nb201Op::ALL[0]; NB201_EDGES];
+                    a[position] = Nb201Op::ALL[op];
+                    Architecture::Nb201(a)
+                }
+                SearchSpaceId::FBNet => {
+                    let mut a = [FbnetOp::ALL[0]; FBNET_LAYERS];
+                    a[position] = FbnetOp::ALL[op];
+                    Architecture::Fbnet(a)
+                }
+            };
+            ArchFeatures::from_profile(&arch, dataset).fields()
+        };
+        let baseline = variant(0, 0);
+        let mut deltas = Vec::with_capacity(positions * ops);
+        for position in 0..positions {
+            for op in 0..ops {
+                let v = variant(position, op);
+                deltas.push(std::array::from_fn(|i| v[i] - baseline[i]));
+            }
+        }
+        let table = Self {
+            space,
+            baseline,
+            deltas,
+        };
+        assert!(
+            table.entries().all(|v| v.fract() == 0.0),
+            "{space} AF contributions on {dataset} are not integers"
+        );
+        for i in 0..ARCH_FEATURE_DIM {
+            let bound = table.baseline[i].abs()
+                + table
+                    .deltas
+                    .chunks(ops)
+                    .map(|row| row.iter().map(|d| d[i].abs()).fold(0.0, f64::max))
+                    .sum::<f64>();
+            assert!(
+                bound < EXACT_INTEGER_LIMIT,
+                "{space} AF sums on {dataset} can exceed 2^53"
+            );
+        }
+        table
+    }
+
+    /// The process-wide table for `space` on `dataset`, built on first use.
+    pub fn get(space: SearchSpaceId, dataset: Dataset) -> &'static FeatureTable {
+        static TABLES: [OnceLock<FeatureTable>; 6] = [const { OnceLock::new() }; 6];
+        let s = match space {
+            SearchSpaceId::NasBench201 => 0,
+            SearchSpaceId::FBNet => 1,
+        };
+        let d = match dataset {
+            Dataset::Cifar10 => 0,
+            Dataset::Cifar100 => 1,
+            Dataset::ImageNet16 => 2,
+        };
+        TABLES[s * 3 + d].get_or_init(|| Self::build(space, dataset))
+    }
+
+    /// The features of `arch`: the baseline plus one contribution per
+    /// position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arch` is not from the table's space.
+    fn features(&self, arch: &Architecture) -> ArchFeatures {
+        assert_eq!(arch.space(), self.space, "architecture from another space");
+        let mut f = self.baseline;
+        let mut add = |row: &[f64; ARCH_FEATURE_DIM]| {
+            for (v, d) in f.iter_mut().zip(row) {
+                *v += d;
+            }
+        };
+        match arch {
+            Architecture::Nb201(ops) => {
+                let n = Nb201Op::ALL.len();
+                for (p, op) in ops.iter().enumerate() {
+                    add(&self.deltas[p * n + op.index()]);
+                }
+            }
+            Architecture::Fbnet(ops) => {
+                let n = FbnetOp::ALL.len();
+                for (p, op) in ops.iter().enumerate() {
+                    add(&self.deltas[p * n + op.index()]);
+                }
+            }
+        }
+        ArchFeatures::from_fields(f)
+    }
+
+    /// Every stored value: the baseline features, then each contribution.
+    pub fn entries(&self) -> impl Iterator<Item = f64> + '_ {
+        self.baseline
+            .iter()
+            .chain(self.deltas.iter().flatten())
+            .copied()
     }
 }
 
@@ -144,8 +322,6 @@ impl FeatureNormalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Nb201Op;
-    use crate::SearchSpaceId;
     use rand_chacha::rand_core::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

@@ -10,10 +10,18 @@
 //! operations cut their connections since no data flows through them. For
 //! FBNet the DAG is the layer chain (identity `skip` blocks keep the chain
 //! connected).
+//!
+//! The adjacency depends on far less than the whole architecture: only
+//! which NAS-Bench-201 edges carry `none` (64 masks), and nothing at all
+//! for FBNet. [`AdjacencyTable`] interns one normalised adjacency per
+//! such structure and shares it behind an [`Arc`], so encoding a new
+//! architecture only writes its one-hot features. [`encode_padded`] is the
+//! per-architecture reference the interned path is tested against.
 
 use crate::arch::{Architecture, FBNET_LAYERS, NB201_EDGES, NB201_EDGE_NODES};
 use crate::op::{FbnetOp, Nb201Op};
 use hwpr_tensor::Matrix;
+use std::sync::{Arc, OnceLock};
 
 /// One-hot node-feature dimension: `[input, output, global]` + 5
 /// NAS-Bench-201 ops + 9 FBNet ops.
@@ -36,8 +44,10 @@ const FEAT_GLOBAL: usize = 2;
 /// one-hot node features, ready for [`hwpr_autograd::Tape::block_graph_matmul`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchGraph {
-    /// `n x n` symmetric-normalised adjacency (with self loops).
-    pub adjacency: Matrix,
+    /// `n x n` symmetric-normalised adjacency (with self loops), shared by
+    /// every graph with the same wiring when built through an
+    /// [`AdjacencyTable`].
+    pub adjacency: Arc<Matrix>,
     /// `n x NODE_FEATURE_DIM` one-hot node features.
     pub features: Matrix,
     /// Number of non-padding nodes (input + ops + output + global).
@@ -59,6 +69,43 @@ impl ArchGraph {
     pub fn global_node(&self) -> usize {
         self.natural - 1
     }
+
+    /// The weight-independent first-layer GCN aggregation `A @ X`
+    /// (`nodes x NODE_FEATURE_DIM`).
+    ///
+    /// Every feature row is one-hot (or all zero for padding), so entry
+    /// `(i, c)` is the sum of `A[i][j]` over the nodes `j` whose type is
+    /// `c`, taken in ascending `j` from `0.0`. That is exactly the chain a
+    /// dense multiply-accumulate over `j` computes, since `a * 1` and
+    /// `a * 0` are exact and the sums never reach `-0.0`; so the result
+    /// is bit-identical to `Matrix::block_left_matmul_each_into` on the
+    /// graph, at `n^2` adds instead of `n^2 * NODE_FEATURE_DIM` FMAs.
+    pub fn aggregate(&self) -> Matrix {
+        let n = self.node_count();
+        let cols = self.features.cols();
+        let adjacency = self.adjacency.as_slice();
+        let mut agg = Matrix::zeros(n, cols);
+        let out = agg.as_mut_slice();
+        // node `j` adds adjacency column `j` into its type's output column;
+        // visiting `j` in ascending order keeps every entry's sum in order
+        for (j, xrow) in self.features.as_slice().chunks_exact(cols).enumerate() {
+            debug_assert!(
+                xrow.iter().all(|&v| v == 0.0 || v == 1.0)
+                    && xrow.iter().filter(|&&v| v == 1.0).count() <= 1,
+                "node {j} features are not one-hot"
+            );
+            // padding nodes have no type and aggregate nothing
+            let Some(c) = xrow.iter().position(|&v| v == 1.0) else {
+                continue;
+            };
+            // adding a zero entry to a sum that is never `-0.0` is exact,
+            // so there is no need to branch on sparsity
+            for (i, orow) in out.chunks_exact_mut(cols).enumerate() {
+                orow[c] += adjacency[i * n + j];
+            }
+        }
+        agg
+    }
 }
 
 /// Encodes `arch` as a graph of its natural size ([`NB201_NODES`] or
@@ -77,6 +124,10 @@ pub fn natural_nodes(arch: &Architecture) -> usize {
 
 /// Encodes `arch` padded with isolated zero-feature nodes up to `nodes`
 /// (so mixed-space batches share one block size).
+///
+/// Builds the raw and normalised adjacency from scratch for this one
+/// architecture; [`AdjacencyTable::encode`] is the production path and
+/// produces identical bits.
 ///
 /// # Panics
 ///
@@ -140,9 +191,142 @@ pub fn encode_padded(arch: &Architecture, nodes: usize) -> ArchGraph {
         raw.set(n, global, 1.0);
     }
     ArchGraph {
-        adjacency: normalized_adjacency(&raw, natural, nodes),
+        adjacency: Arc::new(normalized_adjacency(&raw, natural, nodes)),
         features,
         natural,
+    }
+}
+
+/// The part of an architecture its graph adjacency depends on.
+///
+/// A NAS-Bench-201 `none` edge cuts the data links of its node, and no
+/// other op changes the wiring, so the mask of `none` edges fixes the
+/// adjacency; every FBNet architecture is the same layer chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StructureKey {
+    /// A NAS-Bench-201 cell; bit `e` is set when edge `e` carries `none`.
+    Nb201 {
+        /// The `none`-edge mask (`< 2^6`).
+        none_mask: u8,
+    },
+    /// The FBNet layer chain.
+    Fbnet,
+}
+
+impl StructureKey {
+    /// Number of distinct structures across both spaces (64 + 1).
+    const COUNT: usize = (1 << NB201_EDGES) + 1;
+
+    /// The structure of `arch`.
+    fn of(arch: &Architecture) -> Self {
+        match arch {
+            Architecture::Nb201(ops) => StructureKey::Nb201 {
+                none_mask: ops
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &op)| op == Nb201Op::None)
+                    .fold(0, |mask, (e, _)| mask | 1 << e),
+            },
+            Architecture::Fbnet(_) => StructureKey::Fbnet,
+        }
+    }
+
+    /// Dense slot in `0..COUNT`.
+    fn index(self) -> usize {
+        match self {
+            StructureKey::Nb201 { none_mask } => none_mask as usize,
+            StructureKey::Fbnet => 1 << NB201_EDGES,
+        }
+    }
+
+    /// An architecture with this structure (the one the interned
+    /// adjacency is built from).
+    fn representative(self) -> Architecture {
+        match self {
+            StructureKey::Nb201 { none_mask } => {
+                let mut ops = [Nb201Op::SkipConnect; NB201_EDGES];
+                for (e, op) in ops.iter_mut().enumerate() {
+                    if none_mask >> e & 1 == 1 {
+                        *op = Nb201Op::None;
+                    }
+                }
+                Architecture::Nb201(ops)
+            }
+            StructureKey::Fbnet => Architecture::Fbnet([FbnetOp::Skip; FBNET_LAYERS]),
+        }
+    }
+}
+
+/// Interned normalised adjacencies for one padded node count, one per
+/// structure (NAS-Bench-201 `none`-edge mask, or the FBNet chain), each
+/// built on first use.
+///
+/// Every graph [`AdjacencyTable::encode`] returns shares its adjacency
+/// with all other graphs of the same structure: one allocation for all of
+/// FBNet, at most 64 for NAS-Bench-201.
+#[derive(Debug)]
+pub struct AdjacencyTable {
+    nodes: usize,
+    slots: [OnceLock<Arc<Matrix>>; StructureKey::COUNT],
+}
+
+impl AdjacencyTable {
+    /// An empty table for graphs padded to `nodes` nodes.
+    pub fn new(nodes: usize) -> Self {
+        Self {
+            nodes,
+            slots: [const { OnceLock::new() }; StructureKey::COUNT],
+        }
+    }
+
+    /// The padded node count of every graph this table encodes.
+    pub fn nodes(&self) -> usize {
+        self.nodes
+    }
+
+    /// The shared adjacency of `key`, built by [`encode_padded`] on a
+    /// representative architecture the first time it is asked for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's node count is below the structure's
+    /// natural size.
+    fn adjacency(&self, key: StructureKey) -> &Arc<Matrix> {
+        self.slots[key.index()]
+            .get_or_init(|| encode_padded(&key.representative(), self.nodes).adjacency)
+    }
+
+    /// Encodes `arch` padded to the table's node count: the interned
+    /// adjacency plus one-hot features written directly. Bit-identical
+    /// to [`encode_padded`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table's node count is below `arch`'s natural size.
+    pub fn encode(&self, arch: &Architecture) -> ArchGraph {
+        let natural = natural_nodes(arch);
+        assert!(self.nodes >= natural, "cannot pad below natural node count");
+        let mut features = Matrix::zeros(self.nodes, NODE_FEATURE_DIM);
+        features.set(0, FEAT_INPUT, 1.0);
+        features.set(natural - 2, FEAT_OUTPUT, 1.0);
+        features.set(natural - 1, FEAT_GLOBAL, 1.0);
+        match arch {
+            Architecture::Nb201(ops) => {
+                for (e, op) in ops.iter().enumerate() {
+                    features.set(1 + e, 3 + op.index(), 1.0);
+                }
+            }
+            Architecture::Fbnet(ops) => {
+                for (l, op) in ops.iter().enumerate() {
+                    features.set(1 + l, 3 + Nb201Op::ALL.len() + op.index(), 1.0);
+                }
+            }
+        }
+        ArchGraph {
+            adjacency: Arc::clone(self.adjacency(StructureKey::of(arch))),
+            features,
+            natural,
+        }
     }
 }
 
@@ -297,6 +481,19 @@ mod tests {
     fn padding_below_natural_panics() {
         let a = Architecture::fbnet([FbnetOp::Skip; FBNET_LAYERS]);
         let _ = encode_padded(&a, 9);
+    }
+
+    #[test]
+    fn structure_keys_cover_the_none_masks() {
+        let all_none = Architecture::nb201([Nb201Op::None; 6]);
+        assert_eq!(
+            StructureKey::of(&all_none),
+            StructureKey::Nb201 { none_mask: 63 }
+        );
+        let mut ops = [Nb201Op::NorConv3x3; 6];
+        ops[2] = Nb201Op::None;
+        assert_eq!(StructureKey::of(&Architecture::nb201(ops)).index(), 0b100);
+        assert_eq!(StructureKey::Fbnet.index(), StructureKey::COUNT - 1);
     }
 
     #[test]

@@ -20,20 +20,24 @@ pub const MAX_SEQUENCE_LEN: usize = crate::arch::FBNET_LAYERS;
 /// Token ids of an architecture in the shared vocabulary, unpadded
 /// (length 6 for NAS-Bench-201, 22 for FBNet).
 pub fn tokens(arch: &Architecture) -> Vec<usize> {
-    match arch {
-        Architecture::Nb201(ops) => ops.iter().map(|o| o.index()).collect(),
-        Architecture::Fbnet(ops) => ops.iter().map(|o| Nb201Op::ALL.len() + o.index()).collect(),
-    }
+    padded_tokens(arch, arch.space().positions())
 }
 
-/// Token ids padded with [`PAD_TOKEN`] to `len`.
+/// Token ids padded with [`PAD_TOKEN`] to `len`, in one allocation.
 ///
 /// # Panics
 ///
 /// Panics if the architecture's natural sequence is longer than `len`.
 pub fn padded_tokens(arch: &Architecture, len: usize) -> Vec<usize> {
-    let mut t = tokens(arch);
-    assert!(t.len() <= len, "sequence longer than padding target");
+    assert!(
+        arch.space().positions() <= len,
+        "sequence longer than padding target"
+    );
+    let mut t = Vec::with_capacity(len);
+    match arch {
+        Architecture::Nb201(ops) => t.extend(ops.iter().map(|o| o.index())),
+        Architecture::Fbnet(ops) => t.extend(ops.iter().map(|o| Nb201Op::ALL.len() + o.index())),
+    }
     t.resize(len, PAD_TOKEN);
     t
 }
