@@ -18,9 +18,7 @@
 use crate::error::AutogradError;
 use crate::tape::{Act, Op, Tape, Var};
 use crate::Result;
-use hwpr_tensor::{
-    fast_sigmoid_block, fast_tanh, fast_tanh_block, Matrix, PackedWeight, ShapeError,
-};
+use hwpr_tensor::{fast_sigmoid_block, fast_tanh, fast_tanh_block, Matrix, ShapeError};
 
 /// Applies an optional row-broadcast `bias` and activation `act` in place:
 /// the exact pointwise tail of [`Tape::linear_act`], factored out so the
@@ -211,37 +209,100 @@ pub fn lstm_state_update(gates: &Matrix, hc_prev: &Matrix, hidden: usize, out: &
     }
 }
 
-/// Tape-free fused LSTM cell step against a prepacked gate weight: the
-/// frozen-inference form of [`Tape::lstm_step`], built from the same three
-/// stages (pack, bias+gates, state update) so the two are bit-identical.
+/// Lanes per block of the fused in-place epilogue: one 512-bit vector.
+const UPDATE_LANES: usize = 16;
+
+/// One 16-lane block of [`lstm_update_rows_in_place`]: `pre`/`bias` hold
+/// the `[i f g o]` pre-activations and biases of 16 hidden lanes, `h`/`c`
+/// the lanes' state, replaced by the next state. Per lane this is the
+/// exact arithmetic of [`lstm_bias_gates`] followed by
+/// [`lstm_state_update`]: sigmoid gates are
+/// `0.5 + 0.5·fast_tanh(0.5·(g + b))` and the tanh gate is
+/// `0.0 + 1.0·fast_tanh(1.0·(g + b))` — the staged selector constants
+/// written out, including the `0.0 +` that turns a `-0.0` gate into
+/// `+0.0` exactly as the staged pass does.
+#[inline(always)]
+fn lstm_update_block(
+    pre: [&[f32; UPDATE_LANES]; 4],
+    bias: [&[f32; UPDATE_LANES]; 4],
+    h: &mut [f32; UPDATE_LANES],
+    c: &mut [f32; UPDATE_LANES],
+) {
+    let mut act = [[0.0f32; UPDATE_LANES]; 4];
+    // one gate at a time keeps a single tanh chain live per vector
+    for (gate, out) in act.iter_mut().enumerate() {
+        let (scale, base, gain) = if gate == 2 {
+            (1.0, 0.0, 1.0)
+        } else {
+            (0.5, 0.5, 0.5)
+        };
+        for k in 0..UPDATE_LANES {
+            out[k] = base + gain * fast_tanh(scale * (pre[gate][k] + bias[gate][k]));
+        }
+    }
+    let [i, f, g, o] = act;
+    for k in 0..UPDATE_LANES {
+        let c_new = f[k] * c[k] + i[k] * g[k];
+        c[k] = c_new;
+        h[k] = o[k] * fast_tanh(c_new);
+    }
+}
+
+/// Fused bias + gate activations + state update **in place** on the
+/// leading `rows` rows: row `r` of the packed `[h | c]` state `hc` is
+/// replaced by the next state computed from its pre-activation gate row
+/// `gates.row(r)` (gate order `[i f g o]`) and the `[1, 4·hidden]`
+/// `bias`. Later rows of `hc` are left untouched, which is what lets a
+/// recurrence advance only the rows that are active at a step.
 ///
-/// `x` may be wider than `input` (only its first `input` columns are read),
-/// letting a previous layer's packed `[h | c]` state feed the next layer
-/// directly. `xh` (`[batch, input + hidden]`) and `gates`
-/// (`[batch, 4·hidden]`) are caller-provided scratch; `out` receives the
-/// packed `[h_new | c_new]` next state.
-///
-/// # Errors
-///
-/// Returns a shape error when the prepacked weight does not match the
-/// staged `xh`/`gates` shapes.
-#[allow(clippy::too_many_arguments)]
-pub fn lstm_step_frozen(
-    x: &Matrix,
-    input: usize,
-    hc: &Matrix,
-    w: &PackedWeight,
-    bias: &Matrix,
-    xh: &mut Matrix,
-    gates: &mut Matrix,
-    out: &mut Matrix,
-) -> Result<()> {
+/// One pass per row, vectorised over blocks of 16 hidden lanes; when
+/// `hidden % 16 != 0` the remainder lanes run through the same block
+/// kernel zero-padded to 16 (only the live lanes are written back).
+/// Every lane runs exactly the arithmetic of [`lstm_bias_gates`] followed
+/// by [`lstm_state_update`], so the result is bit-identical to that
+/// two-pass form (tested).
+pub fn lstm_update_rows_in_place(gates: &Matrix, bias: &Matrix, rows: usize, hc: &mut Matrix) {
+    const N: usize = UPDATE_LANES;
     let hidden = hc.cols() / 2;
-    lstm_pack_xh(x, input, hc, hidden, xh);
-    xh.matmul_prepacked_into(w, gates)?;
-    lstm_bias_gates(gates, bias, hidden);
-    lstm_state_update(gates, hc, hidden, out);
-    Ok(())
+    let b = bias.as_slice();
+    let full = hidden - hidden % N;
+    fn block(s: &[f32], at: usize) -> &[f32; N] {
+        s[at..at + N].try_into().expect("16 lanes")
+    }
+    let lanes = |s: &[f32], gate: usize, j: usize| -> [f32; N] {
+        // zero-padded copy of a remainder block
+        let mut out = [0.0; N];
+        let live = &s[gate * hidden + j..(gate + 1) * hidden];
+        out[..live.len()].copy_from_slice(live);
+        out
+    };
+    let tail_bias = (full < hidden).then(|| std::array::from_fn::<_, 4, _>(|q| lanes(b, q, full)));
+    for r in 0..rows {
+        let gr = gates.row(r);
+        let (h, c) = hc.row_mut(r).split_at_mut(hidden);
+        for j in (0..full).step_by(N) {
+            lstm_update_block(
+                std::array::from_fn(|q| block(gr, q * hidden + j)),
+                std::array::from_fn(|q| block(b, q * hidden + j)),
+                (&mut h[j..j + N]).try_into().expect("16 lanes"),
+                (&mut c[j..j + N]).try_into().expect("16 lanes"),
+            );
+        }
+        if let Some(tail_bias) = &tail_bias {
+            let pre: [[f32; N]; 4] = std::array::from_fn(|q| lanes(gr, q, full));
+            let live = hidden - full;
+            let (mut h_tail, mut c_tail) = ([0.0; N], [0.0; N]);
+            c_tail[..live].copy_from_slice(&c[full..]);
+            lstm_update_block(
+                std::array::from_fn(|q| &pre[q]),
+                std::array::from_fn(|q| &tail_bias[q]),
+                &mut h_tail,
+                &mut c_tail,
+            );
+            h[full..].copy_from_slice(&h_tail[..live]);
+            c[full..].copy_from_slice(&c_tail[..live]);
+        }
+    }
 }
 
 impl Tape {
@@ -335,8 +396,9 @@ impl Tape {
         self.packs.put(w.0, false, pack);
 
         // fused bias + gate activations (i, f, o sigmoid; g tanh) followed
-        // by the state update — the same shared stages the frozen path
-        // runs, so taped and tape-free inference stay bit-identical. libm
+        // by the state update — the frozen path's in-place epilogue
+        // (`lstm_update_rows_in_place`) runs the same per-lane arithmetic,
+        // so taped and tape-free inference stay bit-identical. libm
         // `exp`/`tanh` here used to cost more than the gate GEMM.
         lstm_bias_gates(&mut gates, &self.nodes[bias.0].value, hidden);
         let mut value = self.pool.take(batch, 2 * hidden);
@@ -705,6 +767,47 @@ mod tests {
                     (fg_hc[(r, hidden + j)] - pg_c[(r, j)]).abs() < 1e-5,
                     "dc mismatch"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_update_is_bit_identical_to_the_two_pass_form() {
+        // hidden sizes: below, at and above one 16-lane block, the tiny
+        // and fast configs, and the paper's 225 (past the staged-selector
+        // width of `lstm_bias_gates`, so its per-lane fallback is covered)
+        for hidden in [1usize, 5, 12, 16, 17, 64, 225] {
+            let batch = 11;
+            let mut gates = det_matrix(batch, 4 * hidden, hidden);
+            // spread the pre-activations past the tanh clamp, and make some
+            // tanh-lane pre-activations exactly -0.0 after the bias add
+            for (i, v) in gates.as_mut_slice().iter_mut().enumerate() {
+                *v *= 1.0 + (i % 7) as f32 * 3.0;
+            }
+            let mut bias = det_matrix(1, 4 * hidden, hidden + 1);
+            bias.as_mut_slice()[2 * hidden] = 0.0;
+            for r in 0..batch {
+                gates.row_mut(r)[2 * hidden] = -0.0;
+            }
+            let hc = det_matrix(batch, 2 * hidden, hidden + 2);
+
+            let mut staged = gates.clone();
+            lstm_bias_gates(&mut staged, &bias, hidden);
+            let mut want = Matrix::zeros(batch, 2 * hidden);
+            lstm_state_update(&staged, &hc, hidden, &mut want);
+
+            for rows in [0usize, 1, 7, batch] {
+                let mut got = hc.clone();
+                lstm_update_rows_in_place(&gates, &bias, rows, &mut got);
+                for r in 0..batch {
+                    let expect = if r < rows { want.row(r) } else { hc.row(r) };
+                    let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got.row(r)),
+                        bits(expect),
+                        "hidden {hidden} rows {rows} row {r}"
+                    );
+                }
             }
         }
     }

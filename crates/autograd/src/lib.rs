@@ -39,7 +39,7 @@ mod telemetry;
 
 pub use error::AutogradError;
 pub use fused::{
-    apply_bias_act, lstm_bias_gates, lstm_pack_xh, lstm_state_update, lstm_step_frozen,
+    apply_bias_act, lstm_bias_gates, lstm_pack_xh, lstm_state_update, lstm_update_rows_in_place,
 };
 pub use tape::{Act, Tape, Var};
 

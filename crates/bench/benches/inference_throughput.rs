@@ -21,6 +21,12 @@
 //! stay bit-identical to `frozen_serial`; reduced-precision rows are
 //! rank-faithful (Kendall tau >= 0.99, asserted in `hwpr-core` tests).
 //!
+//! Every row above re-scores the same 256 architectures on one engine,
+//! so after the first sweep the LSTM prefix-state cache holds each
+//! architecture's full sequence and every row resumes at its last step:
+//! these rows measure the warm-cache forward (GCN, heads, cache lookups),
+//! not the recurrence. The `lstm_*` rows below measure the recurrence.
+//!
 //! The `encode_cold/{nb201,fbnet}` rows time what a never-seen
 //! architecture costs before any forward pass: one `encodings_into` of
 //! [`COLD_SWEEP`] architectures through a fresh [`EncodingCache`]
@@ -29,17 +35,30 @@
 //! many seeded architectures; divide a row by [`COLD_SWEEP`] for the
 //! per-architecture cost.
 //!
+//! The `lstm_cold/fbnet` and `lstm_prefix_warm/fbnet` rows score the same
+//! [`PREFIX_ROWS`] FBNet architectures through an FBNet surrogate at the
+//! production shape ([`fixture_fbnet_model`]): single-position mutants
+//! of as many random parents. Each iteration gets a freshly frozen
+//! engine, whose LSTM prefix-state cache starts empty; the warm row first
+//! scores the parents (untimed), so every mutant resumes its recurrence
+//! from its parent's prefix state, as a search generation's offspring do.
+//! Encodings are warm in both rows, so the gap is the skipped LSTM steps
+//! net of the cache's lookup and insert cost.
+//!
 //! [`freeze_with`]: hwpr_core::HwPrNas::freeze_with
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use hwpr_bench::{fixture_archs, fixture_model};
-use hwpr_core::EncodingCache;
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use hwpr_bench::{fixture_archs, fixture_fbnet_model, fixture_model, fixture_offspring};
+use hwpr_core::{EncodingCache, ModelConfig};
 use hwpr_hwmodel::Platform;
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use hwpr_tensor::Precision;
 
 /// Architectures per `encode_cold` iteration: all of NAS-Bench-201.
 const COLD_SWEEP: usize = 15_625;
+
+/// Architectures per `lstm_*` iteration: one compiled chunk.
+const PREFIX_ROWS: usize = 64;
 
 fn bench_inference_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("inference_throughput");
@@ -89,6 +108,26 @@ fn bench_inference_throughput(c: &mut Criterion) {
                 out.clear();
                 cache.len()
             })
+        });
+    }
+    let fbnet_model = fixture_fbnet_model(64, &ModelConfig::fast());
+    let parents = fixture_archs(SearchSpaceId::FBNet, PREFIX_ROWS);
+    let offspring = fixture_offspring(&parents, 11);
+    let cache = fbnet_model.encoding_cache();
+    for (name, warm) in [
+        ("lstm_cold/fbnet", &[][..]),
+        ("lstm_prefix_warm/fbnet", &parents[..]),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let frozen = fbnet_model.freeze_with(PREFIX_ROWS, Precision::F32);
+                    frozen.predict_scores(cache, warm, 0).unwrap();
+                    frozen
+                },
+                |frozen| frozen.predict_scores(cache, &offspring, 0).unwrap(),
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();

@@ -31,6 +31,31 @@ pub fn fixture_model(n: usize) -> HwPrNas {
     model
 }
 
+/// A quickly trained FBNet surrogate (22-token LSTM sequences) for the
+/// sequence-encoder benchmarks and allocation tests, where the shapes
+/// matter and the fit does not; [`ModelConfig::fast`] is the production
+/// shape (2-layer, 64-wide LSTM).
+pub fn fixture_fbnet_model(n: usize, config: &ModelConfig) -> HwPrNas {
+    let bench = SimBench::generate(SimBenchConfig {
+        space: SearchSpaceId::FBNet,
+        sample_size: Some(n),
+        seed: 1234,
+    });
+    let data = SurrogateDataset::from_simbench(&bench, Dataset::Cifar100, Platform::EdgeGpu)
+        .expect("bench is non-empty");
+    let (model, _) =
+        HwPrNas::fit(&data, config, &TrainConfig::tiny()).expect("training fixture failed");
+    model
+}
+
+/// One single-position mutation of each parent (seeded): offspring that
+/// share a token prefix of random length with their parent, as a search
+/// generation's mutants do.
+pub fn fixture_offspring(parents: &[Architecture], seed: u64) -> Vec<Architecture> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    parents.iter().map(|p| p.mutate(&mut rng)).collect()
+}
+
 /// Deterministic random architectures.
 pub fn fixture_archs(space: SearchSpaceId, n: usize) -> Vec<Architecture> {
     let mut rng = ChaCha8Rng::seed_from_u64(7);

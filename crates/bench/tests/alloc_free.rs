@@ -1,8 +1,10 @@
 //! Proves the zero-allocation properties of the hot paths: once its
 //! arenas, buffer pools and caches are warm, (a) a training step,
-//! (b) a frozen-engine inference pass and (c) the workspace-backed MOO
-//! kernels each perform zero heap allocations; and (d) a never-seen
-//! architecture's encoding costs a fixed, small number of allocations.
+//! (b) a frozen-engine inference pass — including the LSTM path over
+//! never-seen token sequences — and (c) the workspace-backed MOO kernels
+//! each perform zero heap allocations; (d) a never-seen architecture's
+//! encoding costs a fixed, small number of allocations; and (e) the LSTM
+//! prefix-state cache stays inside its byte bound.
 //!
 //! Gated behind the `alloc-count` feature because it installs a global
 //! allocator; run with `cargo test -p hwpr-bench --features alloc-count`.
@@ -14,8 +16,8 @@
 
 use hwpr_bench::alloc_count::{thread_allocations, CountingAllocator};
 use hwpr_bench::train_step::{step_data, FusedTrainer, StepConfig};
-use hwpr_bench::{fixture_archs, fixture_model, fixture_objectives};
-use hwpr_core::{EncodingCache, Precision};
+use hwpr_bench::{fixture_archs, fixture_fbnet_model, fixture_model, fixture_objectives};
+use hwpr_core::{EncodingCache, ModelConfig, Precision, PREFIX_CACHE_GENERATION_BYTES};
 use hwpr_hwmodel::Platform;
 use hwpr_moo::{Fronts, IncrementalHv2, MooWorkspace};
 use hwpr_nasbench::{Dataset, SearchSpaceId};
@@ -377,5 +379,88 @@ fn cold_encoding_costs_a_fixed_number_of_allocations() {
     for arch in &archs[1..] {
         let enc = cache.encoding(arch);
         assert!(Arc::ptr_eq(&enc.graph.adjacency, &first.graph.adjacency));
+    }
+}
+
+/// One FBNet surrogate at the production LSTM shape, shared by the
+/// prefix-cache tests (each drives its own frozen engine handle).
+fn fbnet_fixture() -> &'static hwpr_core::HwPrNas {
+    static MODEL: std::sync::OnceLock<hwpr_core::HwPrNas> = std::sync::OnceLock::new();
+    MODEL.get_or_init(|| fixture_fbnet_model(48, &ModelConfig::fast()))
+}
+
+#[test]
+fn warm_lstm_path_over_never_seen_sequences_is_allocation_free() {
+    let model = fbnet_fixture();
+    let cache = model.encoding_cache();
+    let archs = fixture_archs(SearchSpaceId::FBNet, 320);
+    // encode everything up front: the measured chunks then exercise the
+    // frozen forward alone, with token sequences its prefix cache has
+    // never seen
+    let mut encodings = Vec::new();
+    cache.encodings_into(&archs, &mut encodings);
+    drop(encodings);
+    let mut scores = Vec::new();
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+        let frozen = model.freeze_with(64, precision);
+        // warm-up: one cold chunk grows the arena's pool, key, order and
+        // insert-staging scratch; a warm replay resumes every row at its
+        // last step
+        for _ in 0..2 {
+            scores.clear();
+            frozen
+                .predict_scores_into(cache, &archs[..64], 0, &mut scores)
+                .unwrap();
+        }
+        for (i, chunk) in archs[64..].chunks(64).enumerate() {
+            let before = thread_allocations();
+            scores.clear();
+            frozen
+                .predict_scores_into(cache, chunk, 0, &mut scores)
+                .unwrap();
+            assert_eq!(
+                thread_allocations() - before,
+                0,
+                "{} chunk {i} of never-seen sequences allocated",
+                precision.label()
+            );
+        }
+        let stats = frozen.prefix_cache_stats();
+        assert_eq!(stats.flips, 0, "the measured chunks fit one generation");
+        assert!(
+            stats.entries > 64 * 22,
+            "never-seen rows inserted their states"
+        );
+    }
+}
+
+#[test]
+fn prefix_cache_stays_inside_its_byte_bound() {
+    use rand_chacha::rand_core::SeedableRng;
+    let model = fbnet_fixture();
+    let cache = model.encoding_cache();
+    let frozen = model.freeze_with(64, Precision::F32);
+    let capacity = frozen.prefix_cache_stats().capacity;
+    assert!(capacity > 0);
+    let bound = 2 * PREFIX_CACHE_GENERATION_BYTES;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    let mut scores = Vec::new();
+    // fresh sequences until the third flip: more than twice a
+    // generation's capacity has gone in by then
+    while frozen.prefix_cache_stats().flips < 3 {
+        let archs: Vec<_> = (0..64)
+            .map(|_| hwpr_nasbench::Architecture::random(SearchSpaceId::FBNet, &mut rng))
+            .collect();
+        scores.clear();
+        frozen
+            .predict_scores_into(cache, &archs, 0, &mut scores)
+            .unwrap();
+        let stats = frozen.prefix_cache_stats();
+        assert!(
+            stats.resident_bytes <= bound,
+            "{} B resident over the {bound} B bound",
+            stats.resident_bytes
+        );
+        assert!(stats.entries <= 2 * capacity);
     }
 }

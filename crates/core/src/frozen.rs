@@ -17,19 +17,31 @@
 //! `hwpr_nn::infer` module docs for the rationale). The implementation
 //! currently sits at exact f32 bit-equality — every kernel it calls is
 //! either the routine the corresponding tape op runs
-//! ([`hwpr_autograd::apply_bias_act`], [`hwpr_autograd::lstm_step_frozen`])
-//! or a bit-identical variant (`matmul_prepacked_into` ≡ `matmul`
-//! including the static-shape kernels, `block_left_matmul_into` ≡
-//! `block_left_matmul`), with concatenations/gathers as plain copies —
-//! but only the budget is contractual. Differential tests in this module
-//! and in `tests/frozen_differential.rs` pin the budget for every encoder
-//! type and platform.
+//! ([`hwpr_autograd::apply_bias_act`]) or a bit-identical variant
+//! (`matmul_prepacked_into` ≡ `matmul` including the static-shape
+//! kernels, `block_left_matmul_into` ≡ `block_left_matmul`, the in-place
+//! LSTM epilogue [`hwpr_autograd::lstm_update_rows_in_place`] ≡ the
+//! tape's two-pass gate and state update), with concatenations/gathers as
+//! plain copies — but only the budget is contractual. Differential tests
+//! in this module and in `tests/frozen_differential.rs` pin the budget
+//! for every encoder type and platform.
+//!
+//! # Prefix-state cache
+//!
+//! Each LSTM encoder owns a bounded [`crate::prefix`] cache of the states
+//! it has computed, keyed by token prefix, and resumes every row at its
+//! longest cached prefix. Unlike the tape budget this is exact at every
+//! precision: a row's state after step `t` depends only on the weights
+//! and its first `t + 1` tokens (each GEMM driver computes an output row
+//! from its own input row alone; see [`hwpr_nn::infer::FrozenLstm`]), so
+//! scores are bit-identical whether the cache is cold or warm.
 //!
 //! # Arena memory model
 //!
 //! All activations come from a per-arena [`BufferPool`]; scratch vectors
-//! (staged graph aggregation, LSTM steps and states, token-id staging)
-//! live in the arena and keep their capacity across calls, so a warmed
+//! (staged graph aggregation, LSTM steps and states, token-id staging,
+//! prefix keys, the resume order and staged cache inserts) live in the
+//! arena and keep their capacity across calls, so a warmed
 //! [`FrozenModel::predict_scores_into`] loop performs **zero heap
 //! allocations** (asserted by the `alloc-count` harness in `hwpr-bench`).
 //! Arenas are checked out of a shared pool per call, so concurrent workers
@@ -39,6 +51,7 @@
 use crate::data::{CachedEncoding, EncodingCache};
 use crate::encoders::EncoderSet;
 use crate::model::{denorm_accuracy, denorm_error, denorm_latency, HwPrNas};
+use crate::prefix::{prefix_keys, Hit, PrefixCacheStats, PrefixStateCache};
 use crate::Result;
 use hwpr_hwmodel::Platform;
 use hwpr_nasbench::features::{FeatureNormalizer, ARCH_FEATURE_DIM};
@@ -53,8 +66,17 @@ use std::time::Instant;
 
 struct InferMetrics {
     /// "infer.prepack.reuse": GEMMs served from persistent weight panels
-    /// (packed once at freeze time, reused every batch).
+    /// (packed once at freeze time, reused every batch) — the GEMMs a
+    /// chunk actually issued, so LSTM steps skipped by a cached prefix do
+    /// not count.
     prepack_reuse: Arc<Counter>,
+    /// "infer.lstm.steps": LSTM row-steps the chunks asked for (rows times
+    /// sequence length).
+    lstm_steps: Arc<Counter>,
+    /// "infer.lstm.steps_resumed": row-steps skipped because the row
+    /// resumed from a cached prefix state; over `infer.lstm.steps` this is
+    /// the skip ratio.
+    lstm_steps_resumed: Arc<Counter>,
     /// "infer.batch.us": per-batch frozen forward wall time.
     batch_us: Arc<Histogram>,
     /// "infer.batch.size": rows per frozen chunk — shows whether callers
@@ -66,6 +88,8 @@ fn metrics() -> &'static InferMetrics {
     static METRICS: OnceLock<InferMetrics> = OnceLock::new();
     METRICS.get_or_init(|| InferMetrics {
         prepack_reuse: registry().counter("infer.prepack.reuse"),
+        lstm_steps: registry().counter("infer.lstm.steps"),
+        lstm_steps_resumed: registry().counter("infer.lstm.steps_resumed"),
         batch_us: registry().histogram(
             "infer.batch.us",
             &Histogram::exponential_bounds(1.0, 4.0, 10),
@@ -93,13 +117,34 @@ impl ChunkTimer {
         }
     }
 
-    fn finish(self, prepacked_gemms: u64, rows: usize) {
+    fn finish(self, work: ChunkWork, rows: usize) {
         if let Some(start) = self.start {
             let m = metrics();
-            m.prepack_reuse.add(prepacked_gemms);
+            m.prepack_reuse.add(work.gemms);
+            m.lstm_steps.add(work.lstm_steps);
+            m.lstm_steps_resumed.add(work.lstm_steps_resumed);
             m.batch_us.observe(start.elapsed().as_secs_f64() * 1e6);
             m.batch_size.observe(rows as f64);
         }
+    }
+}
+
+/// What one chunk's forward issued, for the telemetry counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct ChunkWork {
+    /// Prepacked GEMMs issued.
+    gemms: u64,
+    /// LSTM row-steps asked for (rows times sequence length).
+    lstm_steps: u64,
+    /// LSTM row-steps skipped by resuming from a cached prefix.
+    lstm_steps_resumed: u64,
+}
+
+impl std::ops::AddAssign for ChunkWork {
+    fn add_assign(&mut self, other: Self) {
+        self.gemms += other.gemms;
+        self.lstm_steps += other.lstm_steps;
+        self.lstm_steps_resumed += other.lstm_steps_resumed;
     }
 }
 
@@ -107,20 +152,48 @@ impl ChunkTimer {
 /// capacity between calls so the warmed path never allocates.
 #[derive(Debug, Default)]
 struct EncoderScratch {
-    /// Pooled `[batch, embed_dim]` timestep inputs for the LSTM part.
+    /// Pooled `[batch, embed_dim]` timestep inputs for the LSTM part, rows
+    /// in resume order.
     steps: Vec<Matrix>,
-    /// Per-layer recurrence working set (states, staging, gates).
+    /// Pooled per-layer `[batch, 2·hidden]` LSTM states, rows in resume
+    /// order.
+    states: Vec<Matrix>,
+    /// Per-layer recurrence staging and gate buffers.
     lstm: LstmScratch,
-    /// SoA token-id staging: `seq_len * batch` ids laid out step-major, so
-    /// each encoding is visited once and every LSTM step reads one
-    /// contiguous `[batch]` slice.
-    ids: Vec<usize>,
+    /// Prefix-cache lookup, ordering and insert staging.
+    resume: ResumeScratch,
     /// Weight-independent first-layer graph aggregation
     /// `blockdiag(A) @ X` for the current chunk: staged once by the first
     /// encoder that needs it and reused by every other encoder (the
     /// accuracy and latency branches read identical graph inputs), then
     /// recycled into the pool at the next chunk.
     graph_agg: Option<Matrix>,
+}
+
+/// Per-chunk scratch of the prefix-resumed LSTM: keys, the resume order
+/// and the staged inserts. Holds no model state between chunks.
+#[derive(Debug, Default)]
+struct ResumeScratch {
+    /// Token ids, row-major `[batch, seq_len]` in chunk order.
+    ids: Vec<usize>,
+    /// Prefix keys, row-major `[batch, seq_len]`: entry `t` of a row keys
+    /// its tokens `..=t` (0: not cacheable).
+    keys: Vec<u128>,
+    /// Each chunk row's longest cached prefix.
+    hits: Vec<Option<Hit>>,
+    /// Resume order: position `p` holds chunk row `order[p]`; rows are
+    /// stable-sorted by start step.
+    order: Vec<usize>,
+    /// Start step per position, ascending.
+    starts: Vec<usize>,
+    /// Counting-sort buckets, one per start step.
+    counts: Vec<usize>,
+    /// One step's token ids, in resume order.
+    step_ids: Vec<usize>,
+    /// Keys of the states computed this chunk, in insert order.
+    new_keys: Vec<u128>,
+    /// Their layer-major states, `state_width` values each.
+    new_states: Vec<f32>,
 }
 
 /// One worker's reusable activation storage: a buffer pool plus the
@@ -140,12 +213,17 @@ struct FrozenEncoderSet {
     gcn: Vec<FrozenGcnLayer>,
     embedding: Option<FrozenEmbedding>,
     lstm: Option<FrozenLstm>,
+    /// States of token prefixes this LSTM has computed (see
+    /// [`crate::prefix`]); present exactly when `lstm` is, and dropped
+    /// with the compiled engine.
+    prefix: Option<PrefixStateCache>,
     normalizer: Option<FeatureNormalizer>,
     output_dim: usize,
 }
 
 impl FrozenEncoderSet {
     fn compile(enc: &EncoderSet, params: &Params, precision: Precision) -> Self {
+        let lstm = enc.lstm().map(|l| l.freeze_with(params, precision));
         Self {
             gcn: enc
                 .gcn_layers()
@@ -153,22 +231,17 @@ impl FrozenEncoderSet {
                 .map(|l| l.freeze_with(params, precision))
                 .collect(),
             embedding: enc.embedding().map(|e| e.freeze(params)),
-            lstm: enc.lstm().map(|l| l.freeze_with(params, precision)),
+            prefix: lstm
+                .as_ref()
+                .map(|l| PrefixStateCache::new(l.state_width())),
+            lstm,
             normalizer: enc.normalizer().cloned(),
             output_dim: enc.output_dim(),
         }
     }
 
-    /// Prepacked GEMMs one forward pass issues (for the reuse counter).
-    fn prepacked_gemms(&self, seq_len: usize) -> u64 {
-        self.gcn.len() as u64
-            + self
-                .lstm
-                .as_ref()
-                .map_or(0, |l| (l.layers() * seq_len) as u64)
-    }
-
-    /// Encodes a batch into a pooled `[batch, output_dim]` representation.
+    /// Encodes a batch into a pooled `[batch, output_dim]` representation,
+    /// returning it with the work the forward issued.
     ///
     /// Mirrors [`EncoderSet::forward`] part by part; concatenation becomes
     /// direct writes into column ranges of `repr` (copies are exact, so
@@ -180,14 +253,18 @@ impl FrozenEncoderSet {
         encodings: &[Arc<CachedEncoding>],
         nodes: usize,
         seq_len: usize,
-    ) -> Result<Matrix> {
+    ) -> Result<(Matrix, ChunkWork)> {
         let batch = encodings.len();
         // recycle anything a previous erroring call left behind
-        for m in scratch.steps.drain(..) {
+        for m in scratch.steps.drain(..).chain(scratch.states.drain(..)) {
             pool.put(m);
         }
         // every column range below is written for every row
         let mut repr = pool.take_uninit(batch, self.output_dim);
+        let mut work = ChunkWork {
+            gemms: self.gcn.len() as u64,
+            ..ChunkWork::default()
+        };
         let mut col = 0;
         if !self.gcn.is_empty() {
             if scratch.graph_agg.is_none() {
@@ -253,31 +330,19 @@ impl FrozenEncoderSet {
             pool.put(h);
             col += width;
         }
-        if let (Some(embedding), Some(lstm)) = (&self.embedding, &self.lstm) {
-            // stage all token ids in one pass over the encodings
-            // (step-major SoA), then embed each step's contiguous slice
-            scratch.ids.clear();
-            scratch.ids.resize(seq_len * batch, 0);
-            for (b, e) in encodings.iter().enumerate() {
-                for (t, &tok) in e.tokens.iter().take(seq_len).enumerate() {
-                    scratch.ids[t * batch + b] = tok;
-                }
-            }
-            for t in 0..seq_len {
-                let mut step = pool.take_uninit(batch, embedding.dim());
-                embedding.forward_into(&scratch.ids[t * batch..(t + 1) * batch], &mut step)?;
-                scratch.steps.push(step);
-            }
-            let h = lstm.forward(pool, &scratch.steps, &mut scratch.lstm)?;
-            let width = lstm.hidden_dim();
-            for b in 0..batch {
-                repr.row_mut(b)[col..col + width].copy_from_slice(h.row(b));
-            }
-            pool.put(h);
-            for m in scratch.steps.drain(..) {
-                pool.put(m);
-            }
-            col += width;
+        if let (Some(embedding), Some(lstm), Some(prefix)) =
+            (&self.embedding, &self.lstm, &self.prefix)
+        {
+            work += Self::forward_lstm(
+                pool,
+                scratch,
+                encodings,
+                seq_len,
+                (embedding, lstm, prefix),
+                &mut repr,
+                col,
+            )?;
+            col += lstm.hidden_dim();
         }
         if let Some(norm) = &self.normalizer {
             for (b, e) in encodings.iter().enumerate() {
@@ -286,7 +351,161 @@ impl FrozenEncoderSet {
             col += ARCH_FEATURE_DIM;
         }
         debug_assert_eq!(col, self.output_dim, "encoder parts must fill repr");
-        Ok(repr)
+        Ok((repr, work))
+    }
+
+    /// The LSTM part of [`Self::forward`]: writes each row's final top
+    /// hidden state into `repr` columns `col..col + hidden`.
+    ///
+    /// Every row resumes at its longest prefix held by the prefix cache;
+    /// the lookups, the stable counting sort of rows by start step and the
+    /// copies of the resumed states all happen under one cache lock. The
+    /// recurrence then runs on the sorted rows (step `t` on the leading
+    /// rows that start at or before `t`), staging every state it computes,
+    /// and the staged states are inserted under one more lock.
+    fn forward_lstm(
+        pool: &mut BufferPool,
+        scratch: &mut EncoderScratch,
+        encodings: &[Arc<CachedEncoding>],
+        seq_len: usize,
+        (embedding, lstm, prefix): (&FrozenEmbedding, &FrozenLstm, &PrefixStateCache),
+        repr: &mut Matrix,
+        col: usize,
+    ) -> Result<ChunkWork> {
+        if seq_len == 0 {
+            return Err(hwpr_nn::NnError::Config("LSTM received an empty sequence".into()).into());
+        }
+        let batch = encodings.len();
+        let hidden = lstm.hidden_dim();
+        let width = lstm.state_width();
+        let EncoderScratch {
+            steps,
+            states,
+            lstm: lstm_scratch,
+            resume: rs,
+            ..
+        } = scratch;
+        // stage token ids and their prefix keys, one row at a time
+        rs.ids.clear();
+        rs.ids.resize(batch * seq_len, 0);
+        rs.keys.clear();
+        rs.keys.resize(batch * seq_len, 0);
+        for (b, e) in encodings.iter().enumerate() {
+            let ids = &mut rs.ids[b * seq_len..(b + 1) * seq_len];
+            for (id, &tok) in ids.iter_mut().zip(&e.tokens) {
+                *id = tok;
+            }
+            prefix_keys(ids, &mut rs.keys[b * seq_len..(b + 1) * seq_len]);
+        }
+        // pool.take zero-fills: a cold row's initial [h | c] is zero
+        for _ in 0..lstm.layers() {
+            states.push(pool.take(batch, 2 * hidden));
+        }
+        let lookup_span = hwpr_obs::span("infer.prefix.lookup");
+        prefix.read(|reader| {
+            rs.hits.clear();
+            rs.hits.extend(
+                rs.keys
+                    .chunks_exact(seq_len)
+                    .map(|keys| reader.longest(keys)),
+            );
+            let start_of = |hit: &Option<Hit>| hit.map_or(0, |h| h.len);
+            // stable counting sort of the rows by start step
+            rs.counts.clear();
+            rs.counts.resize(seq_len + 1, 0);
+            for hit in &rs.hits {
+                rs.counts[start_of(hit)] += 1;
+            }
+            let mut next = 0;
+            for count in &mut rs.counts {
+                (*count, next) = (next, next + *count);
+            }
+            rs.order.clear();
+            rs.order.resize(batch, 0);
+            for (b, hit) in rs.hits.iter().enumerate() {
+                let slot = &mut rs.counts[start_of(hit)];
+                rs.order[*slot] = b;
+                *slot += 1;
+            }
+            rs.starts.clear();
+            rs.starts
+                .extend(rs.order.iter().map(|&b| start_of(&rs.hits[b])));
+            for (p, &b) in rs.order.iter().enumerate() {
+                if let Some(hit) = rs.hits[b] {
+                    let state = reader.state(hit);
+                    for (layer, resumed) in states.iter_mut().zip(state.chunks_exact(2 * hidden)) {
+                        layer.row_mut(p).copy_from_slice(resumed);
+                    }
+                }
+            }
+        });
+        drop(lookup_span);
+        // embed each step for the rows active at it, in resume order
+        let mut active = 0;
+        for t in 0..seq_len {
+            while active < batch && rs.starts[active] <= t {
+                active += 1;
+            }
+            rs.step_ids.clear();
+            rs.step_ids
+                .extend(rs.order[..active].iter().map(|&b| rs.ids[b * seq_len + t]));
+            let mut step = pool.take_uninit(batch, embedding.dim());
+            embedding.forward_into(&rs.step_ids, &mut step)?;
+            steps.push(step);
+        }
+        rs.new_keys.clear();
+        rs.new_keys.reserve(batch * seq_len);
+        rs.new_states.clear();
+        rs.new_states.reserve(batch * seq_len * width);
+        let gemms = {
+            let ResumeScratch {
+                keys,
+                order,
+                starts,
+                new_keys,
+                new_states,
+                ..
+            } = &mut *rs;
+            lstm.forward(
+                pool,
+                steps,
+                starts,
+                states,
+                lstm_scratch,
+                |t, active, states| {
+                    for (p, &b) in order[..active].iter().enumerate() {
+                        let key = keys[b * seq_len + t];
+                        if key != 0 {
+                            new_keys.push(key);
+                            for layer in states {
+                                new_states.extend_from_slice(layer.row(p));
+                            }
+                        }
+                    }
+                },
+            )?
+        };
+        let top = states.last().expect("at least one layer");
+        for (p, &b) in rs.order.iter().enumerate() {
+            repr.row_mut(b)[col..col + hidden].copy_from_slice(&top.row(p)[..hidden]);
+        }
+        let insert_span = hwpr_obs::span("infer.prefix.insert");
+        prefix.insert_all(&rs.new_keys, &rs.new_states);
+        drop(insert_span);
+        for m in steps.drain(..).chain(states.drain(..)) {
+            pool.put(m);
+        }
+        Ok(ChunkWork {
+            gemms,
+            lstm_steps: (batch * seq_len) as u64,
+            lstm_steps_resumed: rs.starts.iter().sum::<usize>() as u64,
+        })
+    }
+
+    fn prefix_stats(&self) -> PrefixCacheStats {
+        self.prefix
+            .as_ref()
+            .map_or_else(PrefixCacheStats::default, PrefixStateCache::stats)
     }
 }
 
@@ -309,8 +528,9 @@ pub struct FrozenModel {
     batch: usize,
     /// Panel storage precision every GEMM weight was frozen at.
     precision: Precision,
-    /// Prepacked GEMMs per full-batch forward (drives the reuse counter).
-    prepacked_gemms: u64,
+    /// Prepacked GEMMs every chunk issues in the heads (the encoders
+    /// report their own, which vary with resumed LSTM steps).
+    head_gemms: u64,
     /// Reusable worker arenas; one is checked out per predict call and
     /// returned afterwards, so repeat calls (and parallel workers) reuse
     /// warmed buffer pools instead of reallocating.
@@ -333,12 +553,9 @@ impl FrozenModel {
             .map(|h| h.freeze_with(&model.params, precision))
             .collect();
         let fusion = model.fusion.freeze_with(&model.params, precision);
-        let seq_len = model.cache.seq_len();
-        let prepacked_gemms = accuracy_encoder.prepacked_gemms(seq_len)
-            + latency_encoder.prepacked_gemms(seq_len)
-            + (accuracy_head.depth()
-                + latency_heads.first().map_or(0, FrozenMlp::depth)
-                + fusion.depth()) as u64;
+        let head_gemms = (accuracy_head.depth()
+            + latency_heads.first().map_or(0, FrozenMlp::depth)
+            + fusion.depth()) as u64;
         Self {
             accuracy_encoder,
             latency_encoder,
@@ -348,10 +565,10 @@ impl FrozenModel {
             platforms: model.platforms.clone(),
             max_latency: model.max_latency.clone(),
             nodes: model.cache.nodes(),
-            seq_len,
+            seq_len: model.cache.seq_len(),
             batch: batch.max(1),
             precision,
-            prepacked_gemms,
+            head_gemms,
             arenas: Mutex::new(Vec::new()),
         }
     }
@@ -369,6 +586,12 @@ impl FrozenModel {
     /// The panel precision the engine was frozen at.
     pub fn precision(&self) -> Precision {
         self.precision
+    }
+
+    /// Occupancy and footprint of the engine's LSTM prefix-state caches
+    /// (summed over its encoders; all zero when no encoder has an LSTM).
+    pub fn prefix_cache_stats(&self) -> PrefixCacheStats {
+        self.accuracy_encoder.prefix_stats() + self.latency_encoder.prefix_stats()
     }
 
     fn check_slot(&self, slot: usize) -> Result<()> {
@@ -404,15 +627,15 @@ impl FrozenModel {
     }
 
     /// One frozen forward over `chunk`, returning pooled
-    /// `(score, accuracy, latency)` columns (each `[chunk.len(), 1]`);
-    /// the caller returns them to the arena's pool.
+    /// `(score, accuracy, latency)` columns (each `[chunk.len(), 1]`),
+    /// which the caller returns to the arena's pool, and the work issued.
     fn forward_chunk(
         &self,
         cache: &EncodingCache,
         arena: &mut InferArena,
         chunk: &[Architecture],
         slot: usize,
-    ) -> Result<(Matrix, Matrix, Matrix)> {
+    ) -> Result<(Matrix, Matrix, Matrix, ChunkWork)> {
         let InferArena {
             pool,
             encodings,
@@ -425,22 +648,28 @@ impl FrozenModel {
             pool.put(agg);
         }
         let batch = chunk.len();
+        let mut work = ChunkWork {
+            gemms: self.head_gemms,
+            ..ChunkWork::default()
+        };
         let accuracy = {
             let _stage = hwpr_obs::span_labeled("infer.encode", "accuracy");
-            let acc_repr = self.accuracy_encoder.forward(
+            let (acc_repr, acc_work) = self.accuracy_encoder.forward(
                 pool,
                 scratch,
                 encodings,
                 self.nodes,
                 self.seq_len,
             )?;
+            work += acc_work;
             self.accuracy_head.forward(pool, acc_repr)?
         };
         let latency = {
             let _stage = hwpr_obs::span_labeled("infer.encode", "latency");
-            let lat_repr =
+            let (lat_repr, lat_work) =
                 self.latency_encoder
                     .forward(pool, scratch, encodings, self.nodes, self.seq_len)?;
+            work += lat_work;
             self.latency_heads[slot].forward(pool, lat_repr)?
         };
         // fuse the two branch columns (≡ concat_cols) into the score head
@@ -451,7 +680,7 @@ impl FrozenModel {
             row[1] = latency[(r, 0)];
         }
         let score = self.fusion.forward(pool, both)?;
-        Ok((score, accuracy, latency))
+        Ok((score, accuracy, latency, work))
     }
 
     /// Pareto scores for `archs` using latency head `slot`.
@@ -509,12 +738,12 @@ impl FrozenModel {
         out.reserve(archs.len());
         for chunk in archs.chunks(self.batch) {
             let timer = ChunkTimer::start();
-            let (score, accuracy, latency) = self.forward_chunk(cache, arena, chunk, slot)?;
+            let (score, accuracy, latency, work) = self.forward_chunk(cache, arena, chunk, slot)?;
             out.extend(score.as_slice().iter().map(|&v| v as f64));
             arena.pool.put(score);
             arena.pool.put(accuracy);
             arena.pool.put(latency);
-            timer.finish(self.prepacked_gemms, chunk.len());
+            timer.finish(work, chunk.len());
         }
         Ok(())
     }
@@ -538,7 +767,8 @@ impl FrozenModel {
         let mut objectives = Vec::with_capacity(archs.len());
         for chunk in archs.chunks(self.batch) {
             let timer = ChunkTimer::start();
-            let (score, accuracy, latency) = self.forward_chunk(cache, &mut arena, chunk, slot)?;
+            let (score, accuracy, latency, work) =
+                self.forward_chunk(cache, &mut arena, chunk, slot)?;
             scores.extend(score.as_slice().iter().map(|&v| v as f64));
             for (&a, &l) in accuracy.as_slice().iter().zip(latency.as_slice()) {
                 objectives.push(vec![
@@ -549,7 +779,7 @@ impl FrozenModel {
             arena.pool.put(score);
             arena.pool.put(accuracy);
             arena.pool.put(latency);
-            timer.finish(self.prepacked_gemms, chunk.len());
+            timer.finish(work, chunk.len());
         }
         self.arenas.lock().push(arena);
         Ok((scores, objectives))
@@ -609,7 +839,7 @@ impl FrozenModel {
         out.reserve(archs.len());
         for chunk in archs.chunks(self.batch) {
             let timer = ChunkTimer::start();
-            let (score, accuracy, latency) = self.forward_chunk(cache, arena, chunk, slot)?;
+            let (score, accuracy, latency, work) = self.forward_chunk(cache, arena, chunk, slot)?;
             for (&a, &l) in accuracy.as_slice().iter().zip(latency.as_slice()) {
                 out.push((
                     denorm_accuracy(a),
@@ -619,7 +849,7 @@ impl FrozenModel {
             arena.pool.put(score);
             arena.pool.put(accuracy);
             arena.pool.put(latency);
-            timer.finish(self.prepacked_gemms, chunk.len());
+            timer.finish(work, chunk.len());
         }
         Ok(())
     }
@@ -725,7 +955,7 @@ mod tests {
         let frozen = FrozenEncoderSet::compile(&enc, &params, Precision::F32);
         let mut arena = InferArena::default();
         let encodings: Vec<_> = archs.iter().map(|a| cache.encoding(a)).collect();
-        let repr = frozen
+        let (repr, _) = frozen
             .forward(
                 &mut arena.pool,
                 &mut arena.scratch,
@@ -744,8 +974,10 @@ mod tests {
         assert!(worst <= 1e-5, "{choice}: frozen-vs-tape max-abs {worst}");
         let first = repr.as_slice().to_vec();
 
-        // a second pass over warmed scratch must agree with the first
-        let again = frozen
+        // a second pass over warmed scratch (and, with an LSTM, a warm
+        // prefix cache that resumes every row at its last step) must agree
+        // with the first
+        let (again, _) = frozen
             .forward(
                 &mut arena.pool,
                 &mut arena.scratch,
@@ -788,15 +1020,52 @@ mod tests {
     }
 
     #[test]
-    fn prepack_accounting_counts_every_panel() {
+    fn gemm_accounting_counts_the_steps_that_ran() {
+        use hwpr_nasbench::Nb201Op;
         let cache = EncodingCache::for_space(SearchSpaceId::NasBench201, Dataset::Cifar10);
-        let archs = vec![Architecture::nb201_from_index(0).unwrap()];
+        let parent = Architecture::nb201([Nb201Op::SkipConnect; 6]);
+        let mut child_ops = [Nb201Op::SkipConnect; 6];
+        child_ops[3] = Nb201Op::NorConv3x3;
+        let child = Architecture::nb201(child_ops);
         let mut params = Params::new();
         let cfg = ModelConfig::tiny();
-        let enc =
-            EncoderSet::new(&mut params, "e", &cfg, EncoderChoice::ALL, &cache, &archs).unwrap();
+        let enc = EncoderSet::new(
+            &mut params,
+            "e",
+            &cfg,
+            EncoderChoice::ALL,
+            &cache,
+            std::slice::from_ref(&parent),
+        )
+        .unwrap();
         let frozen = FrozenEncoderSet::compile(&enc, &params, Precision::F32);
-        let expected = cfg.gcn_layers as u64 + (cfg.lstm_layers * cache.seq_len()) as u64;
-        assert_eq!(frozen.prepacked_gemms(cache.seq_len()), expected);
+        let seq_len = cache.seq_len();
+        let mut arena = InferArena::default();
+        let mut run = |arch: &Architecture| {
+            let encodings = [cache.encoding(arch)];
+            let (repr, work) = frozen
+                .forward(
+                    &mut arena.pool,
+                    &mut arena.scratch,
+                    &encodings,
+                    cache.nodes(),
+                    seq_len,
+                )
+                .unwrap();
+            arena.pool.put(repr);
+            arena.scratch.graph_agg = None;
+            (work.gemms, work.lstm_steps, work.lstm_steps_resumed)
+        };
+        let (gcn, layers) = (cfg.gcn_layers as u64, cfg.lstm_layers as u64);
+        let steps = seq_len as u64;
+        // cold: every step of every layer runs
+        assert_eq!(run(&parent), (gcn + layers * steps, steps, 0));
+        // warm: the whole sequence resumes from the cache
+        assert_eq!(run(&parent), (gcn, steps, steps));
+        // a child sharing three tokens runs only the steps after them
+        assert_eq!(run(&child), (gcn + layers * (steps - 3), steps, 3));
+        let stats = frozen.prefix_stats();
+        assert_eq!(stats.entries, 2 * seq_len - 3);
+        assert_eq!(stats.flips, 0);
     }
 }

@@ -39,6 +39,7 @@ pub mod frozen;
 pub mod model;
 pub mod persist;
 pub mod predictor;
+pub mod prefix;
 pub mod scalable;
 mod train;
 
@@ -48,6 +49,7 @@ pub use frozen::{FrozenModel, InferArena};
 pub use hwpr_tensor::Precision;
 pub use model::HwPrNas;
 pub use persist::{observe_saves, SaveWatch};
+pub use prefix::{PrefixCacheStats, PREFIX_CACHE_GENERATION_BYTES};
 pub use train::{nb201_fraction, TrainReport};
 
 use std::error::Error;

@@ -5,11 +5,20 @@
 //! `HWPR_INFER_PRECISION=f16` / `int8` — for every public predict
 //! method, every latency-head platform, and uneven final chunks.
 //!
+//! The LSTM prefix-state cache is held to a stricter standard at every
+//! precision: scores must be bit-identical to each architecture scored
+//! alone on a freshly frozen engine, whether the cache is cold, warm,
+//! partially warm or just past a generation flip, over FBNet,
+//! NAS-Bench-201 and `PAD`-padded mixed-space sequences, shuffled batch
+//! orders and chunk sizes 1, 7 and 64.
+//!
 //! (Per-encoder-type differentials — AF / LSTM / GCN and combinations —
 //! live as unit tests in `hwpr_core::frozen`; here the full compiled
 //! model is exercised end to end.)
 
-use hwpr_core::{HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig};
+use hwpr_core::{
+    EncodingCache, FrozenModel, HwPrNas, ModelConfig, Precision, SurrogateDataset, TrainConfig,
+};
 use hwpr_hwmodel::{Platform, SimBench, SimBenchConfig};
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
 use proptest::prelude::*;
@@ -285,4 +294,192 @@ fn unknown_platform_still_fails_fast() {
     assert!(model
         .predict_full_parallel(&archs, Platform::Eyeriss, 4)
         .is_err());
+}
+
+/// A mixed-space model: NAS-Bench-201 token sequences are padded with
+/// `PAD` to FBNet's 22 tokens, so one engine sees both spaces and both
+/// sequence shapes. Used through explicitly frozen engine handles only,
+/// so the tests sharing it never read each other's installed engine.
+fn mixed_fixture() -> &'static HwPrNas {
+    static FIX: OnceLock<HwPrNas> = OnceLock::new();
+    FIX.get_or_init(|| {
+        let mut entries = bench(30).entries().to_vec();
+        let fbnet = SimBench::generate(SimBenchConfig {
+            space: SearchSpaceId::FBNet,
+            sample_size: Some(30),
+            seed: 3,
+        });
+        entries.extend_from_slice(fbnet.entries());
+        let data =
+            SurrogateDataset::from_entries(&entries, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
+        HwPrNas::fit(&data, &ModelConfig::tiny(), &TrainConfig::tiny())
+            .unwrap()
+            .0
+    })
+}
+
+/// Probe architectures with heavily overlapping token prefixes: random
+/// FBNet and NAS-Bench-201 parents, single-position mutants of them and
+/// crossovers of parent pairs, in a seeded shuffle.
+fn prefix_probe(seed: u64) -> Vec<Architecture> {
+    use rand::seq::SliceRandom;
+    use rand_chacha::rand_core::SeedableRng;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut probe = Vec::new();
+    for space in [SearchSpaceId::FBNet, SearchSpaceId::NasBench201] {
+        let parents: Vec<Architecture> = (0..8)
+            .map(|_| Architecture::random(space, &mut rng))
+            .collect();
+        for (i, parent) in parents.iter().enumerate() {
+            probe.push(parent.clone());
+            probe.push(parent.mutate(&mut rng));
+            probe.push(parent.mutate(&mut rng).mutate(&mut rng));
+            let other = &parents[(i + 1) % parents.len()];
+            probe.push(parent.crossover(other, &mut rng).unwrap());
+        }
+    }
+    probe.shuffle(&mut rng);
+    probe
+}
+
+fn score_bits(frozen: &FrozenModel, cache: &EncodingCache, archs: &[Architecture]) -> Vec<u64> {
+    frozen
+        .predict_scores(cache, archs, 0)
+        .unwrap()
+        .iter()
+        .map(|s| s.to_bits())
+        .collect()
+}
+
+/// Each architecture scored alone through an engine frozen for it: no
+/// cached prefix from any other architecture can reach it.
+fn isolated_bits(model: &HwPrNas, archs: &[Architecture], precision: Precision) -> Vec<u64> {
+    archs
+        .iter()
+        .map(|a| {
+            score_bits(
+                &model.freeze_with(1, precision),
+                model.encoding_cache(),
+                std::slice::from_ref(a),
+            )[0]
+        })
+        .collect()
+}
+
+/// Scores `archs` in a shuffled order and returns them in input order.
+fn shuffled_bits(
+    frozen: &FrozenModel,
+    cache: &EncodingCache,
+    archs: &[Architecture],
+    seed: u64,
+) -> Vec<u64> {
+    use rand::seq::SliceRandom;
+    use rand_chacha::rand_core::SeedableRng;
+    let mut order: Vec<usize> = (0..archs.len()).collect();
+    order.shuffle(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+    let shuffled: Vec<Architecture> = order.iter().map(|&i| archs[i].clone()).collect();
+    let bits = score_bits(frozen, cache, &shuffled);
+    let mut out = vec![0; archs.len()];
+    for (&i, b) in order.iter().zip(bits) {
+        out[i] = b;
+    }
+    out
+}
+
+#[test]
+fn prefix_resumed_scores_are_bit_identical_cold_warm_and_partial() {
+    let model = mixed_fixture();
+    let cache = model.encoding_cache();
+    let probe = prefix_probe(21);
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+        let want = isolated_bits(model, &probe, precision);
+        for batch in [1usize, 7, 64] {
+            let what = format!("{} batch {batch}", precision.label());
+            // cold engine: rows resume from prefixes earlier chunks (and
+            // never the same chunk) computed
+            let frozen = model.freeze_with(batch, precision);
+            assert_eq!(
+                shuffled_bits(&frozen, cache, &probe, 1),
+                want,
+                "{what} cold"
+            );
+            // warm: every row resumes at its full length
+            assert_eq!(
+                shuffled_bits(&frozen, cache, &probe, 2),
+                want,
+                "{what} warm"
+            );
+            assert!(frozen.prefix_cache_stats().entries > 0);
+            // partially warm: a fresh engine that has seen every third
+            // probe architecture
+            let frozen = model.freeze_with(batch, precision);
+            let seen: Vec<Architecture> = probe.iter().step_by(3).cloned().collect();
+            score_bits(&frozen, cache, &seen);
+            assert_eq!(
+                shuffled_bits(&frozen, cache, &probe, 3),
+                want,
+                "{what} partial"
+            );
+            // a freshly frozen engine starts cold and agrees again
+            let fresh = model.freeze_with(batch, precision);
+            assert_eq!(fresh.prefix_cache_stats().entries, 0);
+            assert_eq!(
+                shuffled_bits(&fresh, cache, &probe, 4),
+                want,
+                "{what} fresh"
+            );
+        }
+    }
+}
+
+#[test]
+fn prefix_resumed_scores_are_bit_identical_past_a_generation_flip() {
+    use rand_chacha::rand_core::SeedableRng;
+    let model = mixed_fixture();
+    let cache = model.encoding_cache();
+    let probe = prefix_probe(22);
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
+    // fresh FBNet architectures: each inserts up to 22 new prefix states
+    let filler: Vec<Architecture> = (0..20_000)
+        .map(|_| Architecture::random(SearchSpaceId::FBNet, &mut rng))
+        .collect();
+    for precision in [Precision::F32, Precision::F16, Precision::Int8] {
+        let want = isolated_bits(model, &probe, precision);
+        for batch in [1usize, 7, 64] {
+            let what = format!("{} batch {batch}", precision.label());
+            let frozen = model.freeze_with(batch, precision);
+            assert_eq!(score_bits(&frozen, cache, &probe), want, "{what} cold");
+            // insert until the generation holding the probe's states
+            // retires to the previous slot, then score against both
+            // generations
+            let mut fed = 0;
+            for step in filler.chunks(256) {
+                score_bits(&frozen, cache, step);
+                fed += step.len();
+                if frozen.prefix_cache_stats().flips > 0 {
+                    break;
+                }
+            }
+            let stats = frozen.prefix_cache_stats();
+            assert_eq!(stats.flips, 1, "{what}: {fed} fillers did not flip once");
+            assert_eq!(
+                shuffled_bits(&frozen, cache, &probe, 5),
+                want,
+                "{what} past one flip"
+            );
+            // a second flip evicts them: scores still agree
+            for step in filler[fed..].chunks(256) {
+                score_bits(&frozen, cache, step);
+                if frozen.prefix_cache_stats().flips > 1 {
+                    break;
+                }
+            }
+            assert_eq!(frozen.prefix_cache_stats().flips, 2, "{what}");
+            assert_eq!(
+                shuffled_bits(&frozen, cache, &probe, 6),
+                want,
+                "{what} past two flips"
+            );
+        }
+    }
 }

@@ -5,7 +5,7 @@
 //! copies the trained values out of [`crate::Params`], packs every GEMM
 //! weight into a persistent [`PackedWeight`] panel, and runs the forward
 //! pass as direct fused-kernel calls ([`hwpr_autograd::apply_bias_act`],
-//! [`hwpr_autograd::lstm_step_frozen`], pooled GCN propagation) — no tape,
+//! [`hwpr_autograd::lstm_update_rows_in_place`], pooled GCN propagation) — no tape,
 //! no op recording, no gradient buffers, and dropout statically elided
 //! (dropout is already the identity at inference).
 //!
@@ -33,8 +33,8 @@
 //! forward pass performs no heap allocation.
 
 use crate::{NnError, Result};
-use hwpr_autograd::{apply_bias_act, lstm_step_frozen, Act, AutogradError};
-use hwpr_tensor::{BufferPool, Matrix, PackedWeight, Precision};
+use hwpr_autograd::{apply_bias_act, lstm_update_rows_in_place, Act, AutogradError};
+use hwpr_tensor::{BufferPool, Matrix, PackedWeight, Precision, ShapeError};
 
 /// Whether a packed panel belongs to an encoder GEMM or an MLP regressor
 /// stack — the quantisation policy differs between the two.
@@ -241,103 +241,132 @@ impl FrozenLstm {
         self.cells.len()
     }
 
-    /// Runs the recurrence over `steps` (each `[batch, input_dim]`) and
-    /// returns the pooled final hidden state of the top layer
-    /// (`[batch, hidden]`).
+    /// Width of one row's recurrent state across all layers: the packed
+    /// `[h | c]` of every layer, `layers · 2·hidden` values.
+    pub fn state_width(&self) -> usize {
+        self.cells.len() * 2 * self.hidden_dim
+    }
+
+    /// Runs the recurrence over `steps` (each `[batch, input_dim]`),
+    /// resuming row `r` at step `starts[r]`, and advances `states` — one
+    /// packed `[h | c]` matrix (`[batch, 2·hidden]`) per layer — in place.
     ///
-    /// The loop is step-major where the taped path is layer-major, but the
-    /// dataflow (and therefore every scalar operation's inputs) is
-    /// identical, so the result is bit-identical to
-    /// [`crate::layers::Lstm::forward`]. Layer states thread through as
-    /// packed `[h | c]` matrices; a deeper layer reads the first `hidden`
-    /// columns of the layer below's state directly, eliding the tape path's
-    /// per-step column slice. All working buffers are checked out of
-    /// `pool` **once per layer** and ping-ponged across steps (rather
-    /// than cycled through the pool per step — at small recurrence shapes
-    /// the per-step pool traffic was measurable); `scratch` is caller-held
-    /// and keeps its `Vec` capacities across calls.
+    /// Rows must be sorted by start step (`starts` ascending). Row `r`
+    /// enters with its state after `starts[r]` steps already in `states`
+    /// (zero for a cold row, which starts at 0) and leaves with its state
+    /// after every step. Step `t` runs on the leading `n_t` rows — those
+    /// with `starts[r] <= t` — so its gate GEMMs have `m = n_t` and rows
+    /// past `n_t` are neither read nor written, and only those rows of
+    /// `steps[t]` are read. Each layer's step is one `[x | h]` staging
+    /// copy, one prepacked gate GEMM and one fused in-place epilogue
+    /// ([`lstm_update_rows_in_place`]); a deeper layer reads the `h` part
+    /// of the layer below's state, already advanced for this step.
+    ///
+    /// Every GEMM driver computes an output row from its own input row
+    /// alone and the epilogue is per element, so a row's state after step
+    /// `t` depends only on the weights and its inputs up to `t`: resuming
+    /// from a state recorded by an earlier run is bit-identical to
+    /// recomputing it, and the cold run is bit-identical to
+    /// [`crate::layers::Lstm::forward`]. `after_step(t, n_t, states)` is
+    /// called after every step that ran, so callers can record the
+    /// freshly computed states of rows `..n_t`.
+    ///
+    /// Returns the number of gate GEMMs issued. The `[x | h]` staging and
+    /// gate buffers come from `pool` once per call and go back at the end;
+    /// `scratch` keeps its `Vec` capacities across calls.
     ///
     /// # Errors
     ///
-    /// Returns a config error when `steps` is empty, or a shape error when
-    /// step shapes are inconsistent.
+    /// Returns a config error when `steps` is empty, `starts` is not
+    /// ascending or exceeds the sequence, or `states` does not hold one
+    /// `[starts.len(), 2·hidden]` matrix per layer; a shape error when a
+    /// step matrix is too small.
     pub fn forward(
         &self,
         pool: &mut BufferPool,
         steps: &[Matrix],
+        starts: &[usize],
+        states: &mut [Matrix],
         scratch: &mut LstmScratch,
-    ) -> Result<Matrix> {
+        mut after_step: impl FnMut(usize, usize, &[Matrix]),
+    ) -> Result<u64> {
         if steps.is_empty() {
             return Err(NnError::Config("LSTM received an empty sequence".into()));
         }
-        let _span = hwpr_obs::span("infer.lstm");
-        let batch = steps[0].rows();
+        let batch = starts.len();
         let h = self.hidden_dim;
-        let LstmScratch {
-            states,
-            next,
-            xh,
-            gates,
-        } = scratch;
-        // recycle anything a previous erroring call left behind
-        for buf in states.drain(..).chain(next.drain(..)) {
-            pool.put(buf);
+        if !starts.is_sorted() || starts.last().is_some_and(|&s| s > steps.len()) {
+            return Err(NnError::Config(
+                "LSTM start steps must be ascending and within the sequence".into(),
+            ));
         }
+        if states.len() != self.cells.len() || states.iter().any(|s| s.shape() != (batch, 2 * h)) {
+            return Err(NnError::Config(format!(
+                "LSTM needs {} [{batch}, {}] layer states",
+                self.cells.len(),
+                2 * h
+            )));
+        }
+        let _span = hwpr_obs::span("infer.lstm");
+        let LstmScratch { xh, gates } = scratch;
+        // recycle anything a previous erroring call left behind
         for buf in xh.drain(..).chain(gates.drain(..)) {
             pool.put(buf);
         }
         for cell in &self.cells {
-            // pool.take zero-fills, matching the taped zero initial [h | c];
-            // the rest are fully overwritten by every lstm_step_frozen
-            states.push(pool.take(batch, 2 * h));
-            next.push(pool.take_uninit(batch, 2 * h));
             xh.push(pool.take_uninit(batch, cell.in_dim + h));
             gates.push(pool.take_uninit(batch, 4 * h));
         }
-        for step in steps {
-            for (l, cell) in self.cells.iter().enumerate() {
-                {
-                    // layer l > 0 reads the h-part of the layer below's
-                    // state, already updated for this step
-                    let x = if l == 0 { step } else { &states[l - 1] };
-                    lstm_step_frozen(
-                        x,
-                        cell.in_dim,
-                        &states[l],
-                        &cell.weight,
-                        &cell.bias,
-                        &mut xh[l],
-                        &mut gates[l],
-                        &mut next[l],
-                    )?;
-                }
-                // ping-pong: the freshly-written state becomes current;
-                // the old buffer is next step's (fully overwritten) target
-                std::mem::swap(&mut states[l], &mut next[l]);
+        let mut gemms = 0;
+        let mut active = 0;
+        for (t, step) in steps.iter().enumerate() {
+            while active < batch && starts[active] <= t {
+                active += 1;
             }
-        }
-        let mut out = pool.take_uninit(batch, h);
-        let top = states.last().expect("at least one layer");
-        for r in 0..batch {
-            out.row_mut(r).copy_from_slice(&top.row(r)[..h]);
-        }
-        for buf in states.drain(..).chain(next.drain(..)) {
-            pool.put(buf);
+            if active == 0 {
+                continue;
+            }
+            if step.rows() < active || step.cols() < self.input_dim {
+                return Err(NnError::Autograd(AutogradError::Shape(ShapeError::new(
+                    "FrozenLstm::forward",
+                    (active, self.input_dim),
+                    step.shape(),
+                ))));
+            }
+            for (l, cell) in self.cells.iter().enumerate() {
+                let in_dim = cell.in_dim;
+                let (below, rest) = states.split_at_mut(l);
+                let state = &mut rest[0];
+                // layer l > 0 reads the h-part of the layer below's state,
+                // already advanced for this step
+                let x = below.last().unwrap_or(step);
+                let stage = &mut xh[l];
+                for r in 0..active {
+                    let row = stage.row_mut(r);
+                    row[..in_dim].copy_from_slice(&x.row(r)[..in_dim]);
+                    row[in_dim..].copy_from_slice(&state.row(r)[..h]);
+                }
+                stage
+                    .matmul_prepacked_rows_into(active, &cell.weight, &mut gates[l])
+                    .map_err(AutogradError::from)?;
+                lstm_update_rows_in_place(&gates[l], &cell.bias, active, state);
+                gemms += 1;
+            }
+            after_step(t, active, states);
         }
         for buf in xh.drain(..).chain(gates.drain(..)) {
             pool.put(buf);
         }
-        Ok(out)
+        Ok(gemms)
     }
 }
 
-/// Caller-held working set for [`FrozenLstm::forward`]: per-layer state,
-/// next-state, `[x | h]` staging and gate buffers. The `Vec`s keep their
-/// capacity across calls; the matrices inside are pooled per call.
+/// Caller-held working set for [`FrozenLstm::forward`]: per-layer
+/// `[x | h]` staging and gate buffers. The `Vec`s keep their capacity
+/// across calls; the matrices inside are pooled per call. Layer states
+/// are updated in place, so there is no next-state buffer.
 #[derive(Debug, Default)]
 pub struct LstmScratch {
-    states: Vec<Matrix>,
-    next: Vec<Matrix>,
     xh: Vec<Matrix>,
     gates: Vec<Matrix>,
 }
@@ -604,13 +633,100 @@ mod tests {
         let frozen = lstm.freeze(&params);
         assert_eq!(frozen.layers(), 2);
         assert_eq!(frozen.hidden_dim(), 4);
+        assert_eq!(frozen.state_width(), 16);
         let mut pool = BufferPool::new();
         let mut scratch = LstmScratch::default();
-        let out = frozen
-            .forward(&mut pool, &steps_data, &mut scratch)
+        let cold = |pool: &mut BufferPool| vec![pool.take(2, 8), pool.take(2, 8)];
+        let mut states = cold(&mut pool);
+        let mut recorded = Vec::new();
+        let gemms = frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[0, 0],
+                &mut states,
+                &mut scratch,
+                |t, active, states| {
+                    assert_eq!(active, 2);
+                    recorded.push((t, states[0].clone(), states[1].clone()));
+                },
+            )
             .unwrap();
-        assert_within_budget(out.as_slice(), expected.as_slice());
-        assert!(frozen.forward(&mut pool, &[], &mut scratch).is_err());
+        assert_eq!(gemms, 8);
+        let top: Vec<f32> = (0..2)
+            .flat_map(|r| states[1].row(r)[..4].to_vec())
+            .collect();
+        assert_within_budget(&top, expected.as_slice());
+
+        // resuming row 1 from its recorded state after two steps (row 0
+        // stays cold) reproduces the cold run bit for bit, and only the
+        // steps that ran issue GEMMs
+        let mut resumed = cold(&mut pool);
+        for (l, recorded_state) in [&recorded[1].1, &recorded[1].2].into_iter().enumerate() {
+            resumed[l].row_mut(1).copy_from_slice(recorded_state.row(1));
+        }
+        let mut active_rows = Vec::new();
+        let gemms = frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[0, 2],
+                &mut resumed,
+                &mut scratch,
+                |_, active, _| active_rows.push(active),
+            )
+            .unwrap();
+        assert_eq!(gemms, 8);
+        assert_eq!(active_rows, [1, 1, 2, 2]);
+        assert_eq!(resumed[1].as_slice(), states[1].as_slice());
+        // a row resumed at the end of the sequence runs no step at all
+        let mut done = cold(&mut pool);
+        let gemms = frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[4, 4],
+                &mut done,
+                &mut scratch,
+                |_, _, _| unreachable!("no step runs"),
+            )
+            .unwrap();
+        assert_eq!(gemms, 0);
+
+        let no_op = |_: usize, _: usize, _: &[Matrix]| {};
+        assert!(frozen
+            .forward(&mut pool, &[], &[0, 0], &mut states, &mut scratch, no_op)
+            .is_err());
+        assert!(frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[2, 0],
+                &mut states,
+                &mut scratch,
+                no_op
+            )
+            .is_err());
+        assert!(frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[0, 5],
+                &mut states,
+                &mut scratch,
+                no_op
+            )
+            .is_err());
+        assert!(frozen
+            .forward(
+                &mut pool,
+                &steps_data,
+                &[0],
+                &mut states,
+                &mut scratch,
+                no_op
+            )
+            .is_err());
     }
 
     #[test]

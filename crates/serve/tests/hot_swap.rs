@@ -61,25 +61,39 @@ fn inflight_requests_finish_on_old_weights_and_later_ones_see_new() {
     .unwrap();
     let addr = server.addr();
 
-    let rounds = 120;
+    // the client streams until it has seen `TAIL` v2 responses, so the
+    // swap lands mid-stream however fast the engine answers; it signals
+    // once `LEAD` v1 responses are in
+    const LEAD: usize = 10;
+    const TAIL: usize = 10;
+    const MAX_ROUNDS: usize = 100_000;
+    let (lead_done, lead_seen) = std::sync::mpsc::channel();
+    let want_v2 = v2_bits.clone();
     let client_thread = std::thread::spawn(move || {
         let mut client = ServeClient::connect(addr).unwrap();
-        let mut responses = Vec::with_capacity(rounds);
-        for _ in 0..rounds {
+        let mut responses = Vec::new();
+        let mut v2_answers = 0;
+        while v2_answers < TAIL && responses.len() < MAX_ROUNDS {
             let scores = client
                 .predict_scores("default", Platform::EdgeGpu, &archs)
                 .expect("no request may fail across the swap");
-            responses.push(scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>());
+            let bits = scores.iter().map(|s| s.to_bits()).collect::<Vec<u64>>();
+            v2_answers += usize::from(bits == want_v2);
+            responses.push(bits);
+            if responses.len() == LEAD {
+                lead_done.send(()).unwrap();
+            }
         }
         responses
     });
 
     // let some v1 traffic through, then hot-swap mid-stream
-    std::thread::sleep(Duration::from_millis(30));
+    lead_seen.recv().unwrap();
     assert_eq!(registry.publish("default", Arc::clone(&v2)), 2);
 
     let responses = client_thread.join().unwrap();
-    assert_eq!(responses.len(), rounds);
+    assert!(responses.len() > LEAD);
+    assert_eq!(responses[..LEAD], vec![v1_bits.clone(); LEAD][..]);
     // every response came off exactly one engine — never a torn mix
     let mut v2_seen = false;
     for (i, bits) in responses.iter().enumerate() {
@@ -134,4 +148,80 @@ fn saving_a_watched_path_republishes_the_model() {
     v1.save(&watched).unwrap();
     assert_eq!(registry.get("default").unwrap().version(), 2);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cached_prefix_states_never_cross_hot_swapped_models() {
+    use rand_chacha::rand_core::SeedableRng;
+    let a = trained(5);
+    let b = trained(6);
+    // a stream whose requests share long token prefixes: single-position
+    // mutants of four parents, so both engines' prefix caches resume
+    // almost every row
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+    let parents: Vec<Architecture> = (0..4)
+        .map(|_| Architecture::random(SearchSpaceId::NasBench201, &mut rng))
+        .collect();
+    let requests: Vec<Vec<Architecture>> = (0..160)
+        .map(|i| {
+            (0..3)
+                .map(|j| parents[(i + j) % parents.len()].mutate(&mut rng))
+                .collect()
+        })
+        .collect();
+    // each model's direct scores, computed only ever through its own
+    // engine
+    let direct = |nas: &Arc<HwPrNas>| -> Vec<Vec<u64>> {
+        requests.iter().map(|r| direct_bits(nas, r)).collect()
+    };
+    let (a_bits, b_bits) = (direct(&a), direct(&b));
+    for (i, (x, y)) in a_bits.iter().zip(&b_bits).enumerate() {
+        assert_ne!(x, y, "request {i} cannot tell the models apart");
+    }
+
+    // and the tape path's, which no engine cache can reach: the frozen
+    // f32 engine stays within its 1e-5 error budget of it
+    let tape = |nas: &Arc<HwPrNas>| -> Vec<Vec<f64>> {
+        requests
+            .iter()
+            .map(|r| nas.predict_scores_tape(r, Platform::EdgeGpu).unwrap())
+            .collect()
+    };
+    let (a_tape, b_tape) = (tape(&a), tape(&b));
+
+    let registry = Arc::new(ModelRegistry::new());
+    registry.publish("default", Arc::clone(&a));
+    let server = Server::start(
+        Arc::clone(&registry),
+        ServeConfig {
+            batch_deadline: Duration::from_micros(100),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = ServeClient::connect(server.addr()).unwrap();
+    for (i, archs) in requests.iter().enumerate() {
+        // alternate the published model before every request
+        let (model, want, oracle) = if i % 2 == 0 {
+            (&a, &a_bits[i], &a_tape[i])
+        } else {
+            (&b, &b_bits[i], &b_tape[i])
+        };
+        registry.publish("default", Arc::clone(model));
+        let scores = client
+            .predict_scores("default", Platform::EdgeGpu, archs)
+            .expect("no request may fail across swaps");
+        let got: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(
+            &got, want,
+            "request {i} differs from its model's direct scores"
+        );
+        for (s, t) in scores.iter().zip(oracle) {
+            assert!((s - t).abs() <= 1e-5, "request {i}: {s} vs tape {t}");
+        }
+    }
+    // both engines served from their own, populated caches
+    for nas in [&a, &b] {
+        assert!(nas.frozen().prefix_cache_stats().entries > 0);
+    }
 }

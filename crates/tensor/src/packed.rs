@@ -193,43 +193,61 @@ impl Matrix {
     /// Returns [`ShapeError`] when `self.cols() != b.k` or `out` is not
     /// `self.rows() x b.n`.
     pub fn matmul_prepacked_into(&self, b: &PackedWeight, out: &mut Matrix) -> Result<()> {
-        let (m, k) = self.shape();
-        let (bk, n) = b.shape();
-        if k != bk {
+        if out.rows() != self.rows() {
             return Err(ShapeError::new(
                 "matmul_prepacked_into",
-                self.shape(),
+                (self.rows(), b.n),
+                out.shape(),
+            ));
+        }
+        self.matmul_prepacked_rows_into(self.rows(), b, out)
+    }
+
+    /// [`Matrix::matmul_prepacked_into`] on the leading `m` rows only:
+    /// overwrites rows `..m` of `out` with rows `..m` of `self` times `b`
+    /// and leaves the later rows of `out` untouched. Every driver computes
+    /// an output row from its own input row alone, so each produced row is
+    /// bit-identical to the same row of the full-height product.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] when `self.cols() != b.k`, `out` is not
+    /// `b.n` wide, or either matrix has fewer than `m` rows.
+    pub fn matmul_prepacked_rows_into(
+        &self,
+        m: usize,
+        b: &PackedWeight,
+        out: &mut Matrix,
+    ) -> Result<()> {
+        let k = self.cols();
+        let (bk, n) = b.shape();
+        if k != bk || m > self.rows() {
+            return Err(ShapeError::new(
+                "matmul_prepacked_rows_into",
+                (m, k),
                 (bk, n),
             ));
         }
-        if out.shape() != (m, n) {
+        if out.cols() != n || m > out.rows() {
             return Err(ShapeError::new(
-                "matmul_prepacked_into",
+                "matmul_prepacked_rows_into",
                 (m, n),
                 out.shape(),
             ));
         }
+        let a = &self.as_slice()[..m * k];
+        let c = &mut out.as_mut_slice()[..m * n];
         match &b.panels {
             Panels::F32(data) => {
                 if let Some(kernel) = b.static_kernel {
                     crate::telemetry::note_static_gemm((m, n, k));
-                    kernel(self.as_slice(), m, data, out.as_mut_slice());
+                    kernel(a, m, data, c);
                 } else {
-                    gemm::gemm_prepacked(
-                        (m, n, k),
-                        self.as_slice(),
-                        Layout::RowMajor,
-                        data,
-                        out.as_mut_slice(),
-                    );
+                    gemm::gemm_prepacked((m, n, k), a, Layout::RowMajor, data, c);
                 }
             }
-            Panels::F16(halfs) => {
-                quant::gemm_prepacked_f16((m, n, k), self.as_slice(), halfs, out.as_mut_slice())
-            }
-            Panels::Int8(panels) => {
-                quant::gemm_prepacked_i8((m, n, k), self.as_slice(), panels, out.as_mut_slice())
-            }
+            Panels::F16(halfs) => quant::gemm_prepacked_f16((m, n, k), a, halfs, c),
+            Panels::Int8(panels) => quant::gemm_prepacked_i8((m, n, k), a, panels, c),
         }
         Ok(())
     }
@@ -438,5 +456,50 @@ mod tests {
         pw.pack(&det(6, 3, 2));
         let mut out = Matrix::zeros(4, 3);
         assert!(a.matmul_prepacked_into(&pw, &mut out).is_err());
+        let mut ok = PackedWeight::new();
+        ok.pack(&det(5, 3, 2));
+        assert!(a
+            .matmul_prepacked_into(&ok, &mut Matrix::zeros(3, 3))
+            .is_err());
+        assert!(a.matmul_prepacked_rows_into(5, &ok, &mut out).is_err());
+        assert!(a
+            .matmul_prepacked_rows_into(4, &ok, &mut Matrix::zeros(3, 3))
+            .is_err());
+    }
+
+    #[test]
+    fn row_prefix_products_match_the_full_height_rows() {
+        // every driver: dynamic f32 (two k-panels), static f32, f16 and
+        // int8; prefixes straddle full and partial MR-row tiles
+        let shapes = [(300, 40), (20, 48), (88, 256), (20, 48)];
+        let precisions = [
+            Precision::F32,
+            Precision::F32,
+            Precision::F16,
+            Precision::Int8,
+        ];
+        for ((k, n), precision) in shapes.into_iter().zip(precisions) {
+            // every seventh weight lands in binary16's subnormal range
+            let mut w = det(k, n, 21);
+            for v in w.as_mut_slice().iter_mut().step_by(7) {
+                *v *= 1e-4;
+            }
+            let mut pw = PackedWeight::new();
+            pw.pack_for_inference(&w, precision);
+            let a = det(19, k, 22);
+            let mut full = Matrix::zeros(19, n);
+            a.matmul_prepacked_into(&pw, &mut full).unwrap();
+            for m in [0usize, 1, 7, 8, 9, 16, 19] {
+                let mut out = Matrix::filled(19, n, 3.5);
+                a.matmul_prepacked_rows_into(m, &pw, &mut out).unwrap();
+                assert_eq!(
+                    &out.as_slice()[..m * n],
+                    &full.as_slice()[..m * n],
+                    "{k}x{n} {} m = {m}",
+                    precision.label()
+                );
+                assert!(out.as_slice()[m * n..].iter().all(|&v| v == 3.5));
+            }
+        }
     }
 }

@@ -124,9 +124,10 @@ pub(crate) fn half_to_f32(h: u16) -> f32 {
             if mant == 0 {
                 sign // signed zero
             } else {
-                // subnormal half: normalise into an f32 exponent
+                // subnormal half: shift the leading one up to the
+                // implicit bit (bit 10), drop it, and rebias
                 let shift = mant.leading_zeros() - 21;
-                let m = (mant << (shift + 1)) & 0x03ff;
+                let m = (mant << shift) & 0x03ff;
                 sign | ((113 - shift) << 23) | (m << 13)
             }
         }
@@ -810,6 +811,31 @@ mod tests {
         let tiny = half_to_f32(0x0001);
         assert!(tiny > 0.0);
         assert_eq!(f32_to_half(tiny), 0x0001);
+    }
+
+    #[test]
+    fn half_widening_is_exact_for_every_half() {
+        // every finite binary16 value against its exact decoding, so the
+        // software widen and the hardware `vcvtph2ps` agree bit for bit
+        // (the portable and partial-tile f16 kernels widen in software,
+        // the full-tile AVX-512 kernels in hardware)
+        for h in 0..=u16::MAX {
+            let sign = if h & 0x8000 != 0 { -1.0f64 } else { 1.0 };
+            let exp = i32::from((h >> 10) & 0x1f);
+            let mant = f64::from(h & 0x03ff);
+            let widened = half_to_f32(h);
+            match exp {
+                0x1f if mant == 0.0 => assert_eq!(widened, sign as f32 * f32::INFINITY),
+                0x1f => assert!(widened.is_nan(), "{h:#06x}"),
+                0 => assert_eq!(f64::from(widened), sign * mant * 2f64.powi(-24), "{h:#06x}"),
+                _ => assert_eq!(
+                    f64::from(widened),
+                    sign * (1024.0 + mant) * 2f64.powi(exp - 25),
+                    "{h:#06x}"
+                ),
+            }
+            assert_eq!(widened.is_sign_negative(), sign < 0.0, "{h:#06x}");
+        }
     }
 
     #[test]
