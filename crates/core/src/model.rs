@@ -305,13 +305,29 @@ impl HwPrNas {
         platform_slot: usize,
         rng: &mut LayerRng,
     ) -> Result<BranchOutputs> {
+        // the encoders draw nothing from `rng`, so running both before the
+        // heads keeps the dropout draws in the same order
         let acc_repr = self
             .accuracy_encoder
             .forward(binder, &self.cache, archs, rng)?;
-        let accuracy = self.accuracy_head.forward(binder, acc_repr, rng)?;
         let lat_repr = self
             .latency_encoder
             .forward(binder, &self.cache, archs, rng)?;
+        self.forward_heads(binder, acc_repr, lat_repr, platform_slot, rng)
+    }
+
+    /// The tail of [`Self::forward`]: both regression heads and the fusion
+    /// MLP over already-encoded representations. The fusion fine-tune
+    /// phase calls it directly on cached encoder outputs.
+    pub(crate) fn forward_heads(
+        &self,
+        binder: &mut Binder<'_, '_>,
+        acc_repr: Var,
+        lat_repr: Var,
+        platform_slot: usize,
+        rng: &mut LayerRng,
+    ) -> Result<BranchOutputs> {
+        let accuracy = self.accuracy_head.forward(binder, acc_repr, rng)?;
         let latency = self.latency_heads[platform_slot].forward(binder, lat_repr, rng)?;
         let both = binder
             .tape()

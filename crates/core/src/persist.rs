@@ -17,7 +17,8 @@ use hwpr_nasbench::{Architecture, Dataset};
 use hwpr_tensor::Matrix;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -109,14 +110,33 @@ fn notify_saved(path: &Path) {
 /// the on-disk convention every persisted artifact in the workspace
 /// follows (trained models here, search snapshots in `hwpr-search`).
 ///
+/// The write is atomic: the document goes to `<path>.tmp` in the same
+/// directory, is synced to disk and then renamed over `path`, so a crash
+/// mid-write leaves the previous file intact instead of a torn one.
+///
 /// # Errors
 ///
-/// Returns [`CoreError::Data`] on serialisation or I/O failure.
+/// Returns [`CoreError::Data`] on serialisation or I/O failure; `path`
+/// is then unchanged.
 pub fn write_json_file<T: Serialize>(value: &T, path: impl AsRef<Path>) -> Result<()> {
+    let path = path.as_ref();
     let json =
         serde_json::to_string(value).map_err(|e| CoreError::Data(format!("serialise: {e}")))?;
-    std::fs::write(path.as_ref(), json)
-        .map_err(|e| CoreError::Data(format!("write {}: {e}", path.as_ref().display())))
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let write = || -> std::io::Result<()> {
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(json.as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)
+    };
+    write().map_err(|e| {
+        // best effort: a leftover temp file is harmless, the next write
+        // truncates it
+        let _ = std::fs::remove_file(&tmp);
+        CoreError::Data(format!("write {}: {e}", path.display()))
+    })
 }
 
 /// Reads and parses a JSON document previously written by
@@ -344,6 +364,57 @@ mod tests {
         model.save(&path).unwrap();
         assert_eq!(*seen.lock(), 1, "a dropped watch must not fire");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fresh temporary directory per test (tests in this binary run
+    /// concurrently).
+    fn fresh_temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hwpr_{name}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn failed_write_leaves_the_previous_file_byte_identical() {
+        let dir = fresh_temp_dir("atomic_fail");
+        let path = dir.join("snapshot.json");
+        write_json_file(&vec![1.0f64, 2.0], &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // a directory squatting on the temp name makes its creation fail
+        std::fs::create_dir(dir.join("snapshot.json.tmp")).unwrap();
+        let err = write_json_file(&vec![3.0f64; 64], &path).unwrap_err();
+        assert!(err.to_string().contains("snapshot.json"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn atomic_save_leaves_no_temp_file_and_notifies_once() {
+        let (model, _) = trained();
+        let dir = fresh_temp_dir("atomic_save");
+        let path = dir.join("atomic.json");
+        let seen = Arc::new(Mutex::new(0usize));
+        let _watch = observe_saves({
+            let seen = Arc::clone(&seen);
+            move |p: &Path| {
+                if p.ends_with("atomic.json") {
+                    *seen.lock() += 1;
+                }
+            }
+        });
+        model.save(&path).unwrap();
+        assert_eq!(*seen.lock(), 1, "observer must fire once per save");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("atomic.json")]);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            model.to_json().unwrap()
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

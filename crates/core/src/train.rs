@@ -1,10 +1,10 @@
 //! The Pareto ranking training loop (§III-A, Table II).
 
 use crate::config::{ModelConfig, TrainConfig};
-use crate::data::{EncodingCache, SurrogateDataset};
+use crate::data::{ArchSample, EncodingCache, SurrogateDataset};
 use crate::model::HwPrNas;
 use crate::Result;
-use hwpr_autograd::Tape;
+use hwpr_autograd::{Tape, Var};
 use hwpr_hwmodel::{BenchEntry, Platform};
 use hwpr_moo::MooWorkspace;
 use hwpr_nasbench::{Architecture, Dataset, SearchSpaceId};
@@ -307,48 +307,16 @@ fn train_loop(
             break;
         }
     }
-    // §IV-A: retrain the fusion layer alone (frozen branches) with only
-    // the ranking loss for an optimal final Pareto ordering
     if config.fusion_finetune_epochs > 0 {
-        let mut fusion_opt =
-            AdamW::new(config.learning_rate).with_weight_decay(config.weight_decay);
-        for epoch in 0..config.fusion_finetune_epochs {
-            let batches = shuffled_batches(
-                samples.len(),
-                config.batch_size,
-                config.seed.wrapping_add(10_000 + epoch as u64),
-            );
-            for batch in &batches {
-                if batch.len() < 2 {
-                    continue;
-                }
-                batch_archs.clear();
-                batch_archs.extend(batch.iter().map(|&i| samples[i].arch.clone()));
-                batch_ranks.clear();
-                batch_ranks.extend(batch.iter().map(|&i| global_ranks[i]));
-                rank_order_into(&batch_ranks, &mut rng, &mut order);
-                tape.reset();
-                let mut binder =
-                    Binder::rebind(&mut tape, &model.params, std::mem::take(&mut bound), true);
-                let out = model.forward(&mut binder, &batch_archs, slot, &mut rng)?;
-                let tape_ref = binder.tape();
-                let mut loss = tape_ref.list_mle(out.score, &order)?;
-                loss = tape_ref.scale(loss, 1.0 / batch.len() as f32);
-                if config.tie_regularizer_weight > 0.0 {
-                    if let Some(var) =
-                        tie_variance_loss(tape_ref, out.score, &batch_ranks, &mut group)?
-                    {
-                        let var = tape_ref.scale(var, config.tie_regularizer_weight);
-                        loss = tape_ref.add(loss, var)?;
-                    }
-                }
-                bound = binder.finish_into(loss, &mut grads)?;
-                for g in grads.iter_mut().take(model.fusion_param_start) {
-                    *g = None;
-                }
-                fusion_opt.step(&mut model.params, &grads);
-            }
-        }
+        fusion_finetune(
+            model,
+            samples,
+            &global_ranks,
+            slot,
+            config,
+            &mut rng,
+            &mut tape,
+        )?;
         best_tau = best_tau.max(validation_rank(model, val, slot, &mut moo)?.kendall_tau);
     }
     Ok(TrainReport {
@@ -356,6 +324,123 @@ fn train_loop(
         val_rank_tau: best_tau,
         final_loss,
     })
+}
+
+/// Runs both branch encoders once over every training sample, returning
+/// their outputs as `[n, acc_dim]` and `[n, lat_dim]` row matrices.
+///
+/// Uses the taped forward (not the frozen engine, which matches it only
+/// to a 1e-5 budget) in chunks of `chunk` rows, so the tape pool never
+/// holds a larger shape than a training step does. Every encoder row is
+/// computed independently of the other rows in its chunk, so each row has
+/// the bits a training batch would have given it.
+fn encode_branches(
+    model: &HwPrNas,
+    samples: &[ArchSample],
+    chunk: usize,
+    rng: &mut LayerRng,
+    tape: &mut Tape,
+) -> Result<(Matrix, Matrix)> {
+    let mut acc = Matrix::zeros(samples.len(), model.accuracy_encoder.output_dim());
+    let mut lat = Matrix::zeros(samples.len(), model.latency_encoder.output_dim());
+    let mut archs: Vec<Architecture> = Vec::with_capacity(chunk);
+    let mut bound: Vec<Option<Var>> = Vec::new();
+    for (c, part) in samples.chunks(chunk).enumerate() {
+        archs.clear();
+        archs.extend(part.iter().map(|s| s.arch.clone()));
+        tape.reset();
+        let mut binder = Binder::rebind(tape, &model.params, bound, false);
+        // the encoders draw nothing from `rng`
+        let a = model
+            .accuracy_encoder
+            .forward(&mut binder, &model.cache, &archs, rng)?;
+        let l = model
+            .latency_encoder
+            .forward(&mut binder, &model.cache, &archs, rng)?;
+        bound = binder.into_bound();
+        let start = c * chunk;
+        acc.rows_mut(start, part.len())
+            .copy_from_slice(tape.value(a).as_slice());
+        lat.rows_mut(start, part.len())
+            .copy_from_slice(tape.value(l).as_slice());
+    }
+    Ok((acc, lat))
+}
+
+/// Copies `rows` of `cache` into a pooled input leaf.
+fn gather_leaf(binder: &mut Binder<'_, '_>, cache: &Matrix, rows: &[usize]) -> Var {
+    let mut m = binder.tape().alloc(rows.len(), cache.cols());
+    for (dst, &r) in m.as_mut_slice().chunks_exact_mut(cache.cols()).zip(rows) {
+        dst.copy_from_slice(cache.row(r));
+    }
+    binder.input(m)
+}
+
+/// §IV-A: retrains the fusion layer alone (frozen branches) with only the
+/// ranking loss for an optimal final Pareto ordering.
+///
+/// Only fusion parameters step, so neither encoder can change during the
+/// phase: both run once over the training set ([`encode_branches`]) and
+/// every step gathers its batch's rows from that cache, running only the
+/// heads (dropout on, the same `rng` draws) and the fusion MLP. The
+/// weights are bit-identical to re-encoding every batch, which the
+/// `fusion_finetune_reference` test oracle still does.
+fn fusion_finetune(
+    model: &mut HwPrNas,
+    samples: &[ArchSample],
+    global_ranks: &[usize],
+    slot: usize,
+    config: &TrainConfig,
+    rng: &mut LayerRng,
+    tape: &mut Tape,
+) -> Result<()> {
+    let _fusion_span = hwpr_obs::span("train.fusion");
+    let (acc_rows, lat_rows) = {
+        let _encode_span = hwpr_obs::span("train.fusion.encode");
+        encode_branches(model, samples, config.batch_size, rng, tape)?
+    };
+    let mut fusion_opt = AdamW::new(config.learning_rate).with_weight_decay(config.weight_decay);
+    let mut bound: Vec<Option<Var>> = Vec::new();
+    let mut grads: Vec<Option<Matrix>> = Vec::new();
+    let mut batch_ranks: Vec<usize> = Vec::with_capacity(config.batch_size);
+    let mut order: Vec<usize> = Vec::with_capacity(config.batch_size);
+    let mut group: Vec<usize> = Vec::with_capacity(config.batch_size);
+    for epoch in 0..config.fusion_finetune_epochs {
+        let batches = shuffled_batches(
+            samples.len(),
+            config.batch_size,
+            config.seed.wrapping_add(10_000 + epoch as u64),
+        );
+        for batch in &batches {
+            if batch.len() < 2 {
+                continue;
+            }
+            batch_ranks.clear();
+            batch_ranks.extend(batch.iter().map(|&i| global_ranks[i]));
+            rank_order_into(&batch_ranks, rng, &mut order);
+            tape.reset();
+            let mut binder = Binder::rebind(tape, &model.params, bound, true);
+            let acc_repr = gather_leaf(&mut binder, &acc_rows, batch);
+            let lat_repr = gather_leaf(&mut binder, &lat_rows, batch);
+            let out = model.forward_heads(&mut binder, acc_repr, lat_repr, slot, rng)?;
+            let tape_ref = binder.tape();
+            let mut loss = tape_ref.list_mle(out.score, &order)?;
+            loss = tape_ref.scale(loss, 1.0 / batch.len() as f32);
+            if config.tie_regularizer_weight > 0.0 {
+                if let Some(var) = tie_variance_loss(tape_ref, out.score, &batch_ranks, &mut group)?
+                {
+                    let var = tape_ref.scale(var, config.tie_regularizer_weight);
+                    loss = tape_ref.add(loss, var)?;
+                }
+            }
+            bound = binder.finish_into(loss, &mut grads)?;
+            for g in grads.iter_mut().take(model.fusion_param_start) {
+                *g = None;
+            }
+            fusion_opt.step(&mut model.params, &grads);
+        }
+    }
+    Ok(())
 }
 
 /// Rank agreement between predicted scores and the true Pareto ordering
@@ -407,6 +492,7 @@ mod tests {
     use super::*;
     use crate::data::SurrogateDataset;
     use hwpr_hwmodel::{SimBench, SimBenchConfig};
+    use rand::Rng;
 
     fn bench(n: usize) -> SimBench {
         SimBench::generate(SimBenchConfig {
@@ -423,6 +509,174 @@ mod tests {
         let order = rank_order(&ranks, &mut rng);
         let sorted: Vec<usize> = order.iter().map(|&i| ranks[i]).collect();
         assert_eq!(sorted, vec![0, 0, 1, 2, 2]);
+    }
+
+    /// Test oracle, not a second path: the fusion fine-tune step as it ran
+    /// before the encoder outputs were cached — every step runs the full
+    /// forward over the batch's architectures and back-propagates through
+    /// both encoders, then drops the gradients below the fusion head.
+    fn fusion_finetune_reference(
+        model: &mut HwPrNas,
+        samples: &[ArchSample],
+        global_ranks: &[usize],
+        slot: usize,
+        config: &TrainConfig,
+        rng: &mut LayerRng,
+    ) -> Result<()> {
+        let mut tape = Tape::new();
+        let mut bound: Vec<Option<Var>> = Vec::new();
+        let mut grads: Vec<Option<Matrix>> = Vec::new();
+        let (mut batch_ranks, mut order, mut group) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fusion_opt =
+            AdamW::new(config.learning_rate).with_weight_decay(config.weight_decay);
+        for epoch in 0..config.fusion_finetune_epochs {
+            let batches = shuffled_batches(
+                samples.len(),
+                config.batch_size,
+                config.seed.wrapping_add(10_000 + epoch as u64),
+            );
+            for batch in &batches {
+                if batch.len() < 2 {
+                    continue;
+                }
+                let batch_archs: Vec<Architecture> =
+                    batch.iter().map(|&i| samples[i].arch.clone()).collect();
+                batch_ranks.clear();
+                batch_ranks.extend(batch.iter().map(|&i| global_ranks[i]));
+                rank_order_into(&batch_ranks, rng, &mut order);
+                tape.reset();
+                let mut binder =
+                    Binder::rebind(&mut tape, &model.params, std::mem::take(&mut bound), true);
+                let out = model.forward(&mut binder, &batch_archs, slot, rng)?;
+                let tape_ref = binder.tape();
+                let mut loss = tape_ref.list_mle(out.score, &order)?;
+                loss = tape_ref.scale(loss, 1.0 / batch.len() as f32);
+                if config.tie_regularizer_weight > 0.0 {
+                    if let Some(var) =
+                        tie_variance_loss(tape_ref, out.score, &batch_ranks, &mut group)?
+                    {
+                        let var = tape_ref.scale(var, config.tie_regularizer_weight);
+                        loss = tape_ref.add(loss, var)?;
+                    }
+                }
+                bound = binder.finish_into(loss, &mut grads)?;
+                for g in grads.iter_mut().take(model.fusion_param_start) {
+                    *g = None;
+                }
+                fusion_opt.step(&mut model.params, &grads);
+            }
+        }
+        Ok(())
+    }
+
+    fn param_bits(model: &HwPrNas) -> Vec<Vec<u32>> {
+        model
+            .params
+            .iter()
+            .map(|(_, _, m)| m.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// Fits without the fusion phase, then runs the cached-encoder phase
+    /// and the full-forward oracle on two copies of the model with cloned
+    /// `rng`s: every parameter, the validation τ and the `rng` state that
+    /// follows must have the same bits.
+    fn assert_fusion_matches_oracle(data: &SurrogateDataset, model_config: &ModelConfig) {
+        let mut config = TrainConfig::tiny();
+        config.weight_decay = 3e-4;
+        config.fusion_finetune_epochs = 0;
+        let (fitted, _) = HwPrNas::fit(data, model_config, &config).unwrap();
+        let json = fitted.to_json().unwrap();
+        config.fusion_finetune_epochs = 3;
+        let (train, val) = data.split(0.2, config.seed).unwrap();
+        let samples = train.samples();
+        let objectives: Vec<Vec<f64>> = samples.iter().map(|s| s.objectives()).collect();
+        let ranks = MooWorkspace::new()
+            .pareto_ranks(&objectives)
+            .unwrap()
+            .to_vec();
+        let rng = LayerRng::seed_from_u64(41);
+
+        let mut cached = HwPrNas::from_json(&json).unwrap();
+        let before = param_bits(&cached);
+        let mut cached_rng = rng.clone();
+        fusion_finetune(
+            &mut cached,
+            samples,
+            &ranks,
+            0,
+            &config,
+            &mut cached_rng,
+            &mut Tape::new(),
+        )
+        .unwrap();
+        let mut oracle = HwPrNas::from_json(&json).unwrap();
+        let mut oracle_rng = rng;
+        fusion_finetune_reference(&mut oracle, samples, &ranks, 0, &config, &mut oracle_rng)
+            .unwrap();
+
+        let after = param_bits(&cached);
+        assert_eq!(after, param_bits(&oracle), "fusion weights diverged");
+        let start = cached.fusion_param_start;
+        assert_eq!(after[..start], before[..start], "a frozen parameter moved");
+        assert_ne!(
+            after[start..],
+            before[start..],
+            "the fusion head never trained"
+        );
+        let tau = |m: &HwPrNas| {
+            let t = validation_rank(m, &val, 0, &mut MooWorkspace::new()).unwrap();
+            t.kendall_tau.to_bits()
+        };
+        assert_eq!(tau(&cached), tau(&oracle), "validation tau diverged");
+        assert_eq!(
+            cached_rng.gen::<u64>(),
+            oracle_rng.gen::<u64>(),
+            "rng draws diverged"
+        );
+    }
+
+    /// `ModelConfig::tiny` with head dropout on, so the oracle also pins
+    /// the order of the heads' `rng` draws.
+    fn dropout_config() -> ModelConfig {
+        ModelConfig {
+            dropout: 0.1,
+            lstm_layers: 2,
+            ..ModelConfig::tiny()
+        }
+    }
+
+    #[test]
+    fn cached_fusion_matches_full_forward_oracle_on_nb201() {
+        let data = SurrogateDataset::from_simbench(&bench(48), Dataset::Cifar10, Platform::EdgeGpu)
+            .unwrap();
+        assert_fusion_matches_oracle(&data, &dropout_config());
+    }
+
+    #[test]
+    fn cached_fusion_matches_full_forward_oracle_on_fbnet() {
+        let fbnet = SimBench::generate(SimBenchConfig {
+            space: SearchSpaceId::FBNet,
+            sample_size: Some(72),
+            seed: 6,
+        });
+        let data =
+            SurrogateDataset::from_simbench(&fbnet, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
+        assert_fusion_matches_oracle(&data, &dropout_config());
+    }
+
+    #[test]
+    fn cached_fusion_matches_full_forward_oracle_on_mixed_spaces() {
+        let mut entries = bench(30).entries().to_vec();
+        let fbnet = SimBench::generate(SimBenchConfig {
+            space: SearchSpaceId::FBNet,
+            sample_size: Some(30),
+            seed: 7,
+        });
+        entries.extend_from_slice(fbnet.entries());
+        let data =
+            SurrogateDataset::from_entries(&entries, Dataset::Cifar10, Platform::EdgeGpu).unwrap();
+        assert_fusion_matches_oracle(&data, &dropout_config());
     }
 
     #[test]
